@@ -46,7 +46,6 @@ from .errors import (
     NotIdMode,
     ParameterViolation,
     ParseError,
-    PeriodProductTooLarge,
     PVGraphError,
     StateSpaceTooLarge,
     StrategyDidNotHalt,
@@ -80,7 +79,7 @@ __all__ = [
     "summary_record", "trace_to_csv",
     "PVGraphError", "IllegalAction", "InconsistentWalk", "NoCoprimePair",
     "NoSuitablePrime", "NotIdMode", "ParameterViolation", "ParseError",
-    "PeriodProductTooLarge", "StateSpaceTooLarge", "StrategyDidNotHalt",
+    "StateSpaceTooLarge", "StrategyDidNotHalt",
     "UnreachableSite",
     "dump", "dumps", "load", "loads", "read_bound_comment",
     "FAMILIES", "Instance", "forge_thm1", "forge_thm2",

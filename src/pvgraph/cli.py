@@ -19,7 +19,6 @@ from .errors import (
     NotIdMode,
     ParameterViolation,
     ParseError,
-    PeriodProductTooLarge,
     PVGraphError,
     StateSpaceTooLarge,
     StrategyDidNotHalt,
@@ -139,10 +138,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     rs = _load(args.infile)
     simple = all(is_simple(c.route) for c in rs.carriers)
     irred = all(is_irredundant(c.route) for c in rs.carriers)
-    try:
-        feasible = is_feasible(rs)
-    except PeriodProductTooLarge:
-        feasible = None
     print(json.dumps({
         "n": rs.n,
         "k": rs.k,
@@ -151,7 +146,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "homogeneous": is_homogeneous(rs),
         "all_simple": simple,
         "all_irredundant": irred,
-        "feasible": feasible,
+        "feasible": is_feasible(rs),
     }))
     return 0
 
@@ -159,9 +154,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     rs = _load(args.infile)
     start = args.start or rs.carriers[0].id
-    if start not in rs.by_id:
-        print(f"no carrier {start!r} in {args.infile}", file=sys.stderr)
-        return 2
     if args.strategy == "hitch":
         strat = HitchARide(
             args.bound if args.bound is not None else rs.max_period,
@@ -183,9 +175,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     text = Path(args.infile).read_text()
     rs = fileformat.loads(text)
     start = args.start or rs.carriers[0].id
-    if start not in rs.by_id:
-        print(f"no carrier {start!r} in {args.infile}", file=sys.stderr)
-        return 2
     inst = Instance(
         family=Path(args.infile).name,
         params=(("n", rs.n), ("k", rs.k), ("p", rs.max_period)),

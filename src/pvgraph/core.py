@@ -16,15 +16,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .errors import InconsistentWalk, PeriodProductTooLarge, UnreachableSite
+from .errors import InconsistentWalk, ParameterViolation, UnreachableSite
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Trace
-
-#: Pairwise meeting scans refuse to enumerate more phases than this.
-DEFAULT_LCM_CAP = 2**32
 
 ANONYMOUS = "anonymous"
 IDS = "ids"
@@ -109,6 +104,9 @@ class RouteSet:
             dead = [s for s in self.sites if s not in seen]
             if dead:
                 raise UnreachableSite(f"site(s) on no route: {', '.join(dead)}")
+        for name in (*ids, *self.sites):  # distinct names only, so the cost is not per phase
+            if name.split() != [name]:  # the text format could not write it back
+                raise ValueError(f"name {name!r} is empty or contains whitespace")
 
     @classmethod
     def from_routes(
@@ -142,7 +140,10 @@ class RouteSet:
         return {c.id: c for c in self.carriers}
 
     def carrier(self, cid: str) -> Carrier:
-        return self.by_id[cid]
+        try:
+            return self.by_id[cid]
+        except KeyError:
+            raise ParameterViolation(f"no carrier {cid!r}") from None
 
 
 def position(carrier: Carrier, t: int) -> str:
@@ -211,33 +212,60 @@ class Witness:
 class MeetingGraph:
     """Undirected graph on carriers; an edge means the pair meets somewhere.
 
-    Every edge carries its full witness list. Built once, then read-only.
+    Edges are fixed at construction; an edge's witnesses are derived from the
+    two routes when they are asked for.
     """
 
-    def __init__(self, nodes: Sequence[str], witnesses: dict[tuple[str, str], tuple[Witness, ...]]):
-        self.nodes = tuple(nodes)
+    def __init__(self, routeset: RouteSet, edges: Iterable[tuple[str, str]]):
+        self.nodes = tuple(c.id for c in routeset.carriers)
+        self._routeset = routeset
         self._order = {c: i for i, c in enumerate(self.nodes)}
-        self._witnesses = witnesses
+        self._edges = tuple(edges)
+        self._residue_sets: dict[tuple[str, int], frozenset[tuple[str, int]]] = {}
         adj: dict[str, set[str]] = {c: set() for c in self.nodes}
-        for a, b in witnesses:
+        for a, b in self._edges:
             adj[a].add(b)
             adj[b].add(a)
         self._adj = {c: frozenset(v) for c, v in adj.items()}
 
-    def _key(self, a: str, b: str) -> tuple[str, str]:
-        return (a, b) if self._order[a] < self._order[b] else (b, a)
-
     def has_edge(self, a: str, b: str) -> bool:
-        return a != b and self._key(a, b) in self._witnesses
+        return b in self._adj[a]
 
     def witnesses(self, a: str, b: str) -> tuple[Witness, ...]:
-        return self._witnesses.get(self._key(a, b), ())
+        """Every meeting of the pair within one joint period, by phase.
+
+        Phase i of a and phase j of b coincide iff i ≡ j (mod g), g the gcd
+        of the periods, at the one instant t < lcm with t ≡ i (mod pa) and
+        t ≡ j (mod pb): t = i + pa·u where (pa/g)·u ≡ (j − i)/g (mod pb/g).
+        """
+        if not self.has_edge(a, b):
+            return ()
+        ra, rb = self._routeset.carrier(a).route, self._routeset.carrier(b).route
+        pa, pb = ra.period, rb.period
+        g = math.gcd(pa, pb)
+        m, lcm = pb // g, pa // g * pb
+        inv = pow(pa // g, -1, m)
+        hits = []
+        for s, r in self._residues(a, g) & self._residues(b, g):
+            js = [j for j in range(r, pb, g) if rb.sites[j] == s]
+            for i in range(r, pa, g):
+                if ra.sites[i] == s:
+                    hits.extend((i + pa * ((j - i) // g * inv % m), s) for j in js)
+        hits.sort()
+        return tuple(Witness(s, t, lcm) for t, s in hits)
+
+    def _residues(self, c: str, g: int) -> frozenset[tuple[str, int]]:
+        """The (site, phase mod g) pairs of c's route, kept for later requests."""
+        if (c, g) not in self._residue_sets:
+            sites = self._routeset.carrier(c).route.sites
+            self._residue_sets[c, g] = frozenset((s, i % g) for i, s in enumerate(sites))
+        return self._residue_sets[c, g]
 
     def neighbors(self, c: str) -> frozenset[str]:
         return self._adj[c]
 
     def edges(self) -> list[tuple[str, str]]:
-        return sorted(self._witnesses, key=lambda e: (self._order[e[0]], self._order[e[1]]))
+        return list(self._edges)
 
     def components(self) -> list[frozenset[str]]:
         out, left = [], set(self.nodes)
@@ -253,39 +281,25 @@ class MeetingGraph:
             left -= comp
         return out
 
-    def component_of(self, c: str) -> frozenset[str]:
-        for comp in self.components():
-            if c in comp:
-                return comp
-        raise KeyError(c)
+
+def build_meeting_graph(routeset: RouteSet) -> MeetingGraph:
+    """Find every carrier pair that ever meets, in carrier order.
+
+    Phase i of one route and phase j of another coincide at some instant iff
+    i ≡ j (mod g), g the gcd of the periods: the pair meets iff, for some
+    residue r, the phases ≡ r of both routes share a site.
+    """
+    cs, edges = routeset.carriers, []
+    for i, a in enumerate(cs):
+        for b in cs[i + 1:]:
+            x, y = a.route.sites, b.route.sites
+            g = math.gcd(len(x), len(y))
+            if any(not set(x[r::g]).isdisjoint(y[r::g]) for r in range(g)):
+                edges.append((a.id, b.id))
+    return MeetingGraph(routeset, edges)
 
 
-def build_meeting_graph(routeset: RouteSet, lcm_cap: int = DEFAULT_LCM_CAP) -> MeetingGraph:
-    """Scan every carrier pair over one joint period and record all meetings."""
-    idx = routeset.site_index
-    arrs = [np.array([idx[s] for s in c.route.sites], dtype=np.int64) for c in routeset.carriers]
-    witnesses: dict[tuple[str, str], tuple[Witness, ...]] = {}
-    for i in range(routeset.k):
-        for j in range(i + 1, routeset.k):
-            pa, pb = len(arrs[i]), len(arrs[j])
-            lcm = pa * pb // math.gcd(pa, pb)
-            if lcm > lcm_cap:
-                raise PeriodProductTooLarge(
-                    f"carriers {routeset.carriers[i].id}/{routeset.carriers[j].id}: "
-                    f"lcm {lcm} exceeds cap {lcm_cap}"
-                )
-            a = np.tile(arrs[i], lcm // pa)
-            b = np.tile(arrs[j], lcm // pb)
-            hits = np.flatnonzero(a == b)
-            if hits.size:
-                ws = tuple(
-                    Witness(routeset.sites[int(a[t])], int(t), lcm) for t in hits
-                )
-                witnesses[(routeset.carriers[i].id, routeset.carriers[j].id)] = ws
-    return MeetingGraph([c.id for c in routeset.carriers], witnesses)
-
-
-def is_feasible(routeset: RouteSet, lcm_cap: int = DEFAULT_LCM_CAP) -> bool:
+def is_feasible(routeset: RouteSet) -> bool:
     """Can an agent starting on any carrier visit every site?
 
     True iff, for every carrier, the union of route domains across its
@@ -293,7 +307,7 @@ def is_feasible(routeset: RouteSet, lcm_cap: int = DEFAULT_LCM_CAP) -> bool:
     directions at a meeting and meetings recur forever, so a component's
     domain union is exactly the reachable site set from anywhere inside it.
     """
-    h = build_meeting_graph(routeset, lcm_cap)
+    h = build_meeting_graph(routeset)
     universe = set(routeset.sites)
     for comp in h.components():
         covered = set()

@@ -41,6 +41,9 @@ Action = Ride | Halt
 
 
 class Strategy(Protocol):
+    """Chooses each action. One with a proved cap on its moves may also define
+    `move_bound(routeset) -> int`, and `run` then never cuts it off earlier."""
+
     def decide(self, obs: Observation) -> Action: ...
 
 
@@ -64,9 +67,12 @@ class Trace:
         return len(self.steps)
 
 
-def default_move_limit(routeset: RouteSet) -> int:
-    # comfortably above every proved strategy bound, so honest runs never hit it
-    return 16 * routeset.k * routeset.max_period**2
+def default_move_limit(routeset: RouteSet, strategy: Strategy | None = None) -> int:
+    # above the proved bounds of strategies told the true periods; a declared bound
+    # raises it, plus one: the limit fires after a move, before the halting decision
+    limit = 16 * routeset.k * routeset.max_period**2
+    move_bound = getattr(strategy, "move_bound", None)
+    return limit if move_bound is None else max(limit, move_bound(routeset) + 1)
 
 
 def run(
@@ -82,7 +88,7 @@ def run(
     partial trace flagged `move_limit_exceeded`, never an exception.
     """
     if move_limit is None:
-        move_limit = default_move_limit(routeset)
+        move_limit = default_move_limit(routeset, strategy)
     if move_limit <= 0:
         raise ValueError("move_limit must be positive")
     carrier = routeset.carrier(start_carrier)

@@ -10,10 +10,6 @@ class UnreachableSite(PVGraphError):
     """A declared site appears on no route; the system is trivially uncoverable."""
 
 
-class PeriodProductTooLarge(PVGraphError):
-    """A carrier pair's meeting scan would exceed the configured lcm cap."""
-
-
 class InconsistentWalk(PVGraphError):
     """A walk step is not an edge its carrier activates at that time."""
 
@@ -27,7 +23,7 @@ class NotIdMode(PVGraphError):
 
 
 class ParameterViolation(PVGraphError):
-    """Generator parameters violate a stated constraint (names the constraint)."""
+    """Parameters violate a stated constraint (names the constraint or the unknown carrier)."""
 
 
 class NoSuitablePrime(ParameterViolation):

@@ -361,45 +361,31 @@ def thm8_bound(n: int, k: int) -> int:
 def gen_random_feasible(n: int, k: int, p_max: int, seed: int) -> RouteSet:
     """Seeded random system, repaired to be coverable from everywhere.
 
-    Coverage is guaranteed by scattering all n sites across the route slots.
-    If the meeting structure still leaves some carrier short, every route
-    gets the first site appended: all periods then share the residue -1,
-    so every pair provably meets there.
+    Draws `random_routeset_raw(n, k, p_max, seed)`. If its meeting structure
+    leaves some carrier short, every route gets the first site appended: all
+    periods then share the residue -1, so every pair provably meets there.
     """
     _require(n >= 1 and k >= 1, "n, k >= 1")
     _require(p_max >= 1, "p_max >= 1")
+    rs = random_routeset_raw(n, k, p_max, seed)
+    if k > 1 and not is_feasible(rs):
+        rs = RouteSet.from_routes(
+            [(c.id, c.route.sites + rs.sites[:1]) for c in rs.carriers], IDS, rs.sites
+        )
+    return rs
+
+
+def random_routeset_raw(n: int, k: int, p_max: int, seed: int) -> RouteSet:
+    """Unrepaired sampler: coverage enforced, feasibility left to chance.
+
+    Coverage is guaranteed by scattering all n sites across the route slots.
+    """
     _require(k * p_max >= n, "k * p_max >= n (enough slots to place every site)")
     rng = random.Random(seed)
     sites = [f"s{i}" for i in range(n)]
     periods = [rng.randint(1, p_max) for _ in range(k)]
     i = 0
     while sum(periods) < n:  # deterministic bump until every site can fit
-        periods[i % k] = min(p_max, periods[i % k] + (n - sum(periods)))
-        i += 1
-    routes = [[rng.choice(sites) for _ in range(p)] for p in periods]
-    slots = [(ci, j) for ci, p in enumerate(periods) for j in range(p)]
-    rng.shuffle(slots)
-    for s, (ci, j) in zip(sites, slots):
-        routes[ci][j] = s
-    rs = RouteSet.from_routes(
-        [(f"c{ci}", r) for ci, r in enumerate(routes)], IDS, tuple(sites)
-    )
-    if k > 1 and not is_feasible(rs):
-        routes = [r + [sites[0]] for r in routes]
-        rs = RouteSet.from_routes(
-            [(f"c{ci}", r) for ci, r in enumerate(routes)], IDS, tuple(sites)
-        )
-    return rs
-
-
-def random_routeset_raw(n: int, k: int, p_max: int, seed: int) -> RouteSet:
-    """Unrepaired sampler: coverage enforced, feasibility left to chance."""
-    _require(k * p_max >= n, "k * p_max >= n")
-    rng = random.Random(seed)
-    sites = [f"s{i}" for i in range(n)]
-    periods = [rng.randint(1, p_max) for _ in range(k)]
-    i = 0
-    while sum(periods) < n:
         periods[i % k] = min(p_max, periods[i % k] + (n - sum(periods)))
         i += 1
     routes = [[rng.choice(sites) for _ in range(p)] for p in periods]

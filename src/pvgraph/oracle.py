@@ -36,6 +36,7 @@ def min_moves(
     Raises StateSpaceTooLarge rather than allocate past the cap
     (argument, else $PVG_STATE_CAP, else 2^22 states).
     """
+    start = routeset.carrier(start_carrier)
     cap = _resolve_cap(state_cap)
     k, n = routeset.k, routeset.n
     L = math.lcm(*(c.route.period for c in routeset.carriers))
@@ -57,7 +58,7 @@ def min_moves(
             ]
         )
 
-    ci0 = next(i for i, c in enumerate(routeset.carriers) if c.id == start_carrier)
+    ci0 = routeset.carriers.index(start)
     full = (1 << n) - 1
     start_mask = 1 << pos[ci0][0]
     if start_mask == full:

@@ -13,6 +13,7 @@ constructions exploit.
 """
 from __future__ import annotations
 
+from .core import RouteSet
 from .engine import HALT, Action, Observation, Ride
 from .errors import NotIdMode
 
@@ -47,6 +48,10 @@ class HitchARide:
         self._parent: dict[str, str | None] = {}
         # (mode, carrier, remaining): mode in visit/seek_child/seek_parent/forever
         self._state: tuple[str, str, int] | None = None
+
+    def move_bound(self, routeset: RouteSet) -> int:
+        """(3k-2)*B': the proved cap on its moves when B bounds every period."""
+        return (3 * routeset.k - 2) * self.visit_len
 
     def decide(self, obs: Observation) -> Action:
         cur = obs.current_carrier

@@ -71,6 +71,16 @@ def test_validate_reports_structure(tmp_path, capsys):
     assert rep["feasible"] is True
 
 
+def test_validate_reports_feasibility_past_a_joint_period_of_2_to_the_32(tmp_path, capsys):
+    path = tmp_path / "wide.pvg"
+    a = " ".join(["a", "b"] * 32768 + ["a"])  # period 65537
+    b = " ".join(["a", "b"] * 32768)  # period 65536
+    path.write_text(f"pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : {a}\ncarrier c1 : {b}\n")
+    code, out, _ = run_cli(capsys, "validate", "--in", str(path))
+    assert code == 0
+    assert json.loads(out)["feasible"] is True
+
+
 def test_validate_parse_error_exits_5(tmp_path, capsys):
     bad = tmp_path / "bad.pvg"
     bad.write_text("pvg 9\n")
@@ -118,6 +128,14 @@ def test_explore_move_limit_exits_3(tmp_path, capsys):
     assert json.loads(out)["moves"] == 3
 
 
+def test_explore_hitch_with_a_loose_bound_is_not_cut_off(tmp_path, capsys):
+    path = tmp_path / "loose.pvg"
+    path.write_text("pvg 1\nmode ids\nsites 5 a b c d e\ncarrier c0 : a b c\ncarrier c1 : a d e\n")
+    code, out, _ = run_cli(capsys, "explore", "--in", str(path), "--strategy", "hitch", "--bound", "20")
+    assert code == 0
+    assert json.loads(out)["moves"] > 16 * 2 * 3**2
+
+
 def test_explore_guess_on_anonymous_exits_4(tmp_path, capsys):
     anon = tmp_path / "anon.pvg"
     anon.write_text("pvg 1\nmode anonymous\nsites 2 a b\ncarrier c0 : a b\n")
@@ -155,6 +173,13 @@ def test_oracle_start_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", "--in", str(path), "--start", "c3")
     assert code == 0
     assert json.loads(out)["oracle_optimum"] == 19
+
+
+def test_oracle_unknown_start_exits_2(tmp_path, capsys):
+    path = gen_file(tmp_path, capsys, "--family", "thm8", "--n", "7", "--k", "3")
+    code, _, err = run_cli(capsys, "oracle", "--in", str(path), "--start", "zz")
+    assert code == 2
+    assert "zz" in err
 
 
 def test_oracle_state_cap_exits_2(tmp_path, capsys):

@@ -1,13 +1,23 @@
 from __future__ import annotations
 
-import pytest
+import math
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import pvgraph
 from pvgraph import (
     ANONYMOUS,
     IDS,
     Route,
     RouteSet,
+    Witness,
     build_meeting_graph,
+    exact_feasible,
     carriers_at,
     is_concrete_cover,
     is_feasible,
@@ -18,7 +28,7 @@ from pvgraph import (
 )
 from pvgraph.core import Carrier
 from pvgraph.engine import Trace, TimedEdge
-from pvgraph.errors import InconsistentWalk, PeriodProductTooLarge, UnreachableSite
+from pvgraph.errors import InconsistentWalk, ParameterViolation, UnreachableSite
 
 
 def rs_of(*routes: list[str], mode: str = IDS) -> RouteSet:
@@ -66,6 +76,23 @@ def test_dead_declared_site_rejected():
 def test_duplicate_carrier_ids_rejected():
     with pytest.raises(ValueError):
         RouteSet.from_routes([("c0", ["a"]), ("c0", ["b", "a"])], IDS)
+
+
+@pytest.mark.parametrize("routes", [
+    [("c 0", ["a"])],
+    [("", ["a"])],
+    [("c0", ["a", "b c"])],
+    [("c0", ["a", ""])],
+    [("c0", ["a\tb"])],
+])
+def test_names_the_text_format_cannot_hold_rejected(routes):
+    with pytest.raises(ValueError):
+        RouteSet.from_routes(routes, IDS)
+
+
+def test_unknown_carrier_is_a_parameter_violation():
+    with pytest.raises(ParameterViolation, match="nope"):
+        rs_of(["a"]).carrier("nope")
 
 
 def test_simple_route_predicate():
@@ -124,11 +151,48 @@ def test_meeting_graph_heterogeneous_recurrence():
     assert {(w.site, w.phase) for w in ws} == {("a", 0), ("b", 1)}
 
 
-def test_meeting_graph_lcm_cap():
-    rs = rs_of(["a", "b", "c"], ["a", "b", "c", "d"])
-    with pytest.raises(PeriodProductTooLarge):
-        build_meeting_graph(rs, lcm_cap=10)
-    build_meeting_graph(rs, lcm_cap=12)  # lcm(3,4) just fits
+def scanned_witnesses(rs: RouteSet, a: str, b: str) -> tuple[Witness, ...]:
+    """Reference: walk both routes over one joint period, instant by instant."""
+    ra, rb = rs.carrier(a).route, rs.carrier(b).route
+    lcm = math.lcm(ra.period, rb.period)
+    return tuple(Witness(ra.at(t), t, lcm) for t in range(lcm) if ra.at(t) == rb.at(t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_meeting_graph_matches_joint_period_scan(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    k = data.draw(st.integers(1, 3), label="k")
+    routes = [
+        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12), label=f"c{i}")
+        for i in range(k)
+    ]
+    rs = rs_of(*[[f"s{x}" for x in r] for r in routes])
+    mg = build_meeting_graph(rs)
+    ids = [c.id for c in rs.carriers]
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    scans = {(a, b): scanned_witnesses(rs, a, b) for a, b in pairs}
+    assert mg.edges() == [e for e in pairs if scans[e]]
+    for (a, b), ws in scans.items():
+        assert mg.has_edge(a, b) == mg.has_edge(b, a) == bool(ws)
+        assert mg.witnesses(a, b) == mg.witnesses(b, a) == ws
+    assert is_feasible(rs) == exact_feasible(rs)
+
+
+def test_feasibility_past_a_joint_period_of_2_to_the_32():
+    pa, pb = 65537, 65536  # coprime, lcm just above 2^32
+    rs = rs_of([f"s{i % 3}" for i in range(pa)], [f"s{i % 2}" for i in range(pb)])
+    t0 = time.perf_counter()
+    assert is_feasible(rs)
+    assert time.perf_counter() - t0 < 1.0
+    assert build_meeting_graph(rs).edges() == [("c0", "c1")]
+
+
+def test_import_needs_no_numpy():
+    src = Path(pvgraph.__file__).resolve().parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); sys.modules['numpy'] = None; import pvgraph"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_feasibility_needs_component_wide_coverage():

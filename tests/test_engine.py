@@ -11,6 +11,7 @@ from pvgraph import (
     HitchARide,
     IllegalAction,
     Observation,
+    ParameterViolation,
     Ride,
     RouteSet,
     Trace,
@@ -118,6 +119,21 @@ def test_move_limit_tags_partial_trace():
 def test_default_move_limit_formula():
     rs = rs_of(["a", "b", "c"], ["a", "b"])
     assert default_move_limit(rs) == 16 * 2 * 9
+
+
+def test_default_move_limit_admits_a_declared_bound():
+    rs = rs_of(["a", "b", "c"], ["a", "d", "e"])
+    hitch = HitchARide(20)  # proved cap (3k-2)*B^2 = 1600, far above 16*k*p^2 = 288
+    assert default_move_limit(rs, hitch) == 1601
+    assert default_move_limit(rs, HitchARide(3)) == 288
+    tr = run(rs, HitchARide(20), "c0")
+    assert tr.halted and not tr.move_limit_exceeded
+    assert 288 < tr.moves <= 1600
+
+
+def test_unknown_start_carrier_is_a_parameter_violation():
+    with pytest.raises(ParameterViolation, match="nope"):
+        run(rs_of(["a", "b"]), Scripted([]), "nope")
 
 
 def test_trace_rejects_misnumbered_steps():

@@ -124,3 +124,16 @@ def test_round_trip_preserves_any_system(seed, n, k):
     assert [(c.id, c.route.sites) for c in back.carriers] == [
         (c.id, c.route.sites) for c in rs.carriers
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True),
+    names=st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True),
+)
+def test_every_constructible_system_round_trips(ids, names):
+    try:
+        rs = RouteSet.from_routes([(cid, names) for cid in ids], IDS)
+    except ValueError:
+        return
+    assert loads(dumps(rs)) == rs

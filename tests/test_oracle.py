@@ -6,6 +6,7 @@ from pvgraph import (
     BoundReport,
     IDS,
     Instance,
+    ParameterViolation,
     RouteSet,
     StateSpaceTooLarge,
     audit,
@@ -88,6 +89,15 @@ def test_audit_reports_family_instance():
     assert all(m >= 25 for m in report.strategy_moves.values())
     assert not report.violation()
     assert report.notes == []
+
+
+def test_unknown_start_carrier_is_a_parameter_violation():
+    rs = rs_of(["a", "b"])
+    with pytest.raises(ParameterViolation, match="nope"):
+        min_moves(rs, "nope")
+    base = make_instance("thm7", 4, 2)
+    with pytest.raises(ParameterViolation, match="nope"):
+        audit(Instance(base.family, base.params, base.routeset, base.bound, "nope"))
 
 
 def test_audit_flags_overclaimed_bound():
