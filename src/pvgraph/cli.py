@@ -13,19 +13,18 @@ import sys
 from pathlib import Path
 
 from . import fileformat
-from .core import IDS, RouteSet, is_feasible, is_homogeneous, is_irredundant, is_simple
-from .engine import CSV_HEADER, run, summary_line, trace_to_csv
+from .core import is_feasible, is_homogeneous, is_irredundant, is_simple
+from .engine import run, summary_line, trace_to_csv
 from .errors import (
     NotIdMode,
-    ParameterViolation,
     ParseError,
     PVGraphError,
     StateSpaceTooLarge,
     StrategyDidNotHalt,
     UnreachableSite,
 )
-from .instances import FAMILIES, Instance, forge_thm1, forge_thm2, make_instance
-from .oracle import audit, min_moves
+from .instances import FAMILIES, Instance, forge_thm1, forge_thm2, get_family, make_instance
+from .oracle import audit, min_moves, race
 from .strategies import (
     FixedStepHalt,
     GuessingRide,
@@ -50,15 +49,6 @@ THM2_TARGETS = {
 }
 
 
-def _family_arg(value: str) -> str:
-    if value in FAMILIES:
-        return value
-    for short, long_name in FAMILIES.items():
-        if value == long_name:
-            return short
-    raise argparse.ArgumentTypeError(f"unknown family {value!r}")
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -66,18 +56,16 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _load(path: str) -> RouteSet:
-    return fileformat.loads(Path(path).read_text())
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pvg", description="periodically varying graph toolkit"
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # short and long names; "random" is both
+    families = list(dict.fromkeys(n for f in FAMILIES.values() for n in (f.name, f.long_name)))
 
     g = sub.add_parser("generate", help="emit a family instance in text format")
-    g.add_argument("--family", type=_family_arg, required=True)
+    g.add_argument("--family", choices=families, metavar="FAMILY", required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--p", type=int)
@@ -105,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--state-cap", type=int)
 
     b = sub.add_parser("bench", help="sweep a family and tabulate moves")
-    b.add_argument("--family", type=_family_arg, required=True)
+    b.add_argument("--family", choices=families, metavar="FAMILY", required=True)
     b.add_argument("--n", type=int, nargs="+", required=True)
     b.add_argument("--k", type=int, nargs="+", required=True)
     b.add_argument("--p", type=int, nargs="+")
@@ -135,7 +123,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    rs = _load(args.infile)
+    rs = fileformat.load(args.infile)
     simple = all(is_simple(c.route) for c in rs.carriers)
     irred = all(is_irredundant(c.route) for c in rs.carriers)
     print(json.dumps({
@@ -152,7 +140,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    rs = _load(args.infile)
+    rs = fileformat.load(args.infile)
     start = args.start or rs.carriers[0].id
     if args.strategy == "hitch":
         strat = HitchARide(
@@ -167,8 +155,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     print(summary_line(args.infile, args.strategy, rs, trace))
     if trace.move_limit_exceeded:
         return 3
-    covered = set(trace.visited_sites) == set(rs.sites)
-    return 0 if (trace.halted and covered) else 1
+    return 0 if (trace.halted and trace.covers(rs)) else 1
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -192,27 +179,27 @@ def _bench_cell(value) -> str:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.family in ("thm3", "thm4") and not args.p:
-        print(f"{args.family} needs --p", file=sys.stderr)
+    fam = get_family(args.family)
+    if fam.needs("p") and not args.p:
+        print(f"{fam.name} needs --p", file=sys.stderr)
         return 2
-    # only these families are parameterized by a period; elsewhere the p
-    # column reports the period the construction produced
-    plist = args.p if args.p and args.family in ("thm3", "thm4", "random") else [None]
+    # a family without a period parameter reports the period it produced
+    plist = args.p if args.p and "p" in fam.params else [None]
     lines = ["family,n,k,p,bound,oracle(opt),hitch_moves,guess_moves"]
     for n in args.n:
         for k in args.k:
             for p in plist:
-                lines.append(",".join(_bench_row(args, n, k, p)))
+                lines.append(",".join(_bench_row(fam.name, args, n, k, p)))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _bench_row(args: argparse.Namespace, n: int, k: int, p: int | None) -> list[str]:
-    row = [args.family, str(n), str(k), _bench_cell(p)]
+def _bench_row(family: str, args: argparse.Namespace, n: int, k: int, p: int | None) -> list[str]:
+    row = [family, str(n), str(k), _bench_cell(p)]
     try:
-        inst = make_instance(args.family, n, k, p, args.seed)
-    except (ParameterViolation, PVGraphError) as exc:
-        print(f"bench {args.family} n={n} k={k} p={p}: {exc}", file=sys.stderr)
+        inst = make_instance(family, n, k, p, args.seed)
+    except PVGraphError as exc:
+        print(f"bench {family} n={n} k={k} p={p}: {exc}", file=sys.stderr)
         return row + ["", "", "", ""]
     rs = inst.routeset
     if p is None:
@@ -222,21 +209,15 @@ def _bench_row(args: argparse.Namespace, n: int, k: int, p: int | None) -> list[
         row.append(_bench_cell(min_moves(rs, inst.start, args.state_cap)))
     except StateSpaceTooLarge:
         row.append("")
-    for name, strat in (
-        ("hitch", HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs))),
-        ("guess", GuessingRide(rs.n) if rs.mode == IDS else None),
-    ):
-        if strat is None:
+    traces = race(rs, inst.start)
+    for name in ("hitch", "guess"):
+        trace = traces.get(name)
+        if trace is None:
             row.append("")
-            continue
-        trace = run(rs, strat, inst.start)
-        if trace.halted and set(trace.visited_sites) == set(rs.sites):
+        elif trace.halted and trace.covers(rs):
             row.append(str(trace.moves))
         else:
-            print(
-                f"bench {args.family} n={n} k={k} p={p}: {name} failed to cover",
-                file=sys.stderr,
-            )
+            print(f"bench {family} n={n} k={k} p={p}: {name} failed to cover", file=sys.stderr)
             row.append("")
     return row
 

@@ -96,9 +96,10 @@ class RouteSet:
             object.__setattr__(self, "sites", tuple(seen))
         else:
             object.__setattr__(self, "sites", tuple(self.sites))
-            if len(set(self.sites)) != len(self.sites):
+            universe = set(self.sites)
+            if len(universe) != len(self.sites):
                 raise ValueError("site universe contains duplicates")
-            extra = [s for s in seen if s not in set(self.sites)]
+            extra = [s for s in seen if s not in universe]
             if extra:
                 raise ValueError(f"route sites missing from declared universe: {extra}")
             dead = [s for s in self.sites if s not in seen]
@@ -318,30 +319,43 @@ def is_feasible(routeset: RouteSet) -> bool:
     return True
 
 
+def _walk_fault(routeset: RouteSet, walk: "Trace") -> tuple[int, str] | None:
+    """The first step the routes do not allow, as (index, reason); None if lawful.
+
+    Step i must depart where the agent stands (step 0: the start carrier's
+    site at t=0) and be the move its carrier makes from time i to i+1. An
+    unknown start carrier faults step 0; an unknown step carrier, its step.
+    Step times are checked when the Trace is built.
+    """
+    by_id = routeset.by_id
+    if walk.start_carrier not in by_id:
+        return 0, f"no start carrier {walk.start_carrier!r}"
+    here = by_id[walk.start_carrier].route.sites[0]
+    for i, step in enumerate(walk.steps):
+        c = by_id.get(step.carrier)
+        if c is None:
+            return i, f"step {i} rides unknown carrier {step.carrier!r}"
+        if step.from_site != here:
+            # boarding a carrier that isn't standing where the agent is
+            return i, f"step {i} departs {step.from_site} but the agent stands on {here}"
+        sites = c.route.sites
+        if sites[i % len(sites)] != here or sites[(i + 1) % len(sites)] != step.to_site:
+            return i, (f"step {i}: carrier {step.carrier} does not activate "
+                       f"({step.from_site} -> {step.to_site}) at time {i}")
+        here = step.to_site
+    return None
+
+
 def is_concrete_cover(routeset: RouteSet, walk: "Trace") -> bool:
     """Does the walk touch every site of the universe?
 
-    The walk must be time-consistent: step i happens at time i and uses an
-    edge its carrier actually activates then. Violations raise
-    InconsistentWalk rather than returning False — an inconsistent walk
-    covers nothing meaningfully.
+    The walk must be consistent (see `_walk_fault`): every step an edge its
+    carrier activates at that time, departing where the agent stands.
+    Violations raise InconsistentWalk rather than returning False — an
+    inconsistent walk covers nothing meaningfully.
     """
-    here = position(routeset.carrier(walk.start_carrier), 0)
-    touched = {here}
-    for i, step in enumerate(walk.steps):
-        c = routeset.carrier(step.carrier)
-        if step.time != i:
-            raise InconsistentWalk(f"step {i} carries time {step.time}")
-        if step.from_site != here:
-            # boarding a carrier that isn't standing where the agent is
-            raise InconsistentWalk(
-                f"step {i} departs {step.from_site} but the agent stands on {here}"
-            )
-        if position(c, i) != step.from_site or position(c, i + 1) != step.to_site:
-            raise InconsistentWalk(
-                f"step {i}: carrier {step.carrier} does not activate "
-                f"({step.from_site} -> {step.to_site}) at time {i}"
-            )
-        here = step.to_site
-        touched.add(here)
-    return touched == set(routeset.sites)
+    fault = _walk_fault(routeset, walk)
+    if fault is not None:
+        raise InconsistentWalk(fault[1])
+    here = routeset.carrier(walk.start_carrier).route.sites[0]
+    return {here, *(step.to_site for step in walk.steps)} == set(routeset.sites)

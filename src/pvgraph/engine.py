@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Protocol
 
-from .core import IDS, RouteSet, TimedEdge, position
+from .core import IDS, RouteSet, TimedEdge, _walk_fault, position
 from .errors import IllegalAction
 
 
@@ -65,6 +65,10 @@ class Trace:
     @property
     def moves(self) -> int:
         return len(self.steps)
+
+    def covers(self, routeset: RouteSet) -> bool:
+        """Did the walk see every site of `routeset`'s universe?"""
+        return set(self.visited_sites) == set(routeset.sites)
 
 
 def default_move_limit(routeset: RouteSet, strategy: Strategy | None = None) -> int:
@@ -136,20 +140,8 @@ def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
     carrier's move at that time), switch legality (consecutive carriers share
     the switch site), and that step 0 departs from the start carrier's site.
     """
-    ids = {c.id for c in routeset.carriers}
-    if trace.start_carrier not in ids:
-        return False, 0
-    prev_to = position(routeset.carrier(trace.start_carrier), 0)
-    for i, step in enumerate(trace.steps):
-        if step.carrier not in ids or step.time != i:
-            return False, i
-        c = routeset.carrier(step.carrier)
-        if position(c, i) != step.from_site or position(c, i + 1) != step.to_site:
-            return False, i
-        if step.from_site != prev_to:  # covers both switch legality and continuity
-            return False, i
-        prev_to = step.to_site
-    return True, None
+    fault = _walk_fault(routeset, trace)
+    return (True, None) if fault is None else (False, fault[0])
 
 
 CSV_HEADER = "step,time,carrier,from,to,new_site"
@@ -169,7 +161,6 @@ def trace_to_csv(trace: Trace) -> str:
 def summary_record(
     instance: str, strategy: str, routeset: RouteSet, trace: Trace
 ) -> dict:
-    covered = set(trace.visited_sites) == set(routeset.sites)
     return {
         "instance": instance,
         "strategy": strategy,
@@ -178,7 +169,7 @@ def summary_record(
         "p": routeset.max_period,
         "moves": trace.moves,
         "halted": trace.halted,
-        "covered": covered,
+        "covered": trace.covers(routeset),
     }
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 from .core import ANONYMOUS, IDS, RouteSet, is_feasible, position
 from .engine import Strategy, Trace, run
@@ -21,17 +21,6 @@ from .errors import (
     ParameterViolation,
     StrategyDidNotHalt,
 )
-
-FAMILIES = {
-    "thm3": "thm3_arb_homo",
-    "thm4": "thm4_arb_hetero",
-    "siho": "siho_simple_homo",
-    "sihe": "sihe_simple_hetero",
-    "thm7": "thm7_circ_homo",
-    "thm8": "thm8_circ_hetero",
-    "random": "random",
-}
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -189,11 +178,8 @@ def gen_siho(n: int, k: int) -> RouteSet:
     """
     _require(n >= 4, "n >= 4")
     _require(2 <= k <= n / 2, "2 <= k <= n/2")
-    m = _max_prime_below(n - k)
-    if m is None:
-        raise NoSuitablePrime(f"no prime below n-k = {n - k}")
+    m, nbar, _ = siho_params(n, k)
     _require(k <= m, "k <= largest prime below n-k")
-    nbar = n - m - k
     corridor = [f"z{l}" for l in range(1, nbar + 1)]
     routes = []
     for i in range(1, k + 1):
@@ -226,11 +212,8 @@ def gen_sihe(n: int, k: int) -> RouteSet:
     """
     _require(n >= 36, "n >= 36")
     _require(4 <= k <= n / 6 - 2, "4 <= k <= n/6 - 2")
-    m = _max_prime_below((n - 3 * k - 4) // 2 + 1)
-    if m is None:
-        raise NoSuitablePrime(f"no prime at or below (n-3k-4)/2 = {(n - 3*k - 4) // 2}")
+    m, nbar, _, _ = sihe_params(n, k)
     _require(k <= m, "k <= chosen prime")
-    nbar = n - (3 * k - 4) - 2 * m
     ceil_h = (nbar + 1) // 2
     floor_h = nbar // 2
     big = m * m - m
@@ -399,7 +382,59 @@ def random_routeset_raw(n: int, k: int, p_max: int, seed: int) -> RouteSet:
 
 
 # ---------------------------------------------------------------------------
-# instance dispatcher
+# the family table
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family: how to build it, its proved bound and the start it pins.
+
+    `generate` and `bound` take the parameters named in `params`, in that
+    order; `defaults` fills an unset parameter from n. `start(k)` is the
+    carrier the bound argument parks the agent on. `smallest` is the
+    smallest point the constraints admit, in `params` order.
+    """
+
+    name: str
+    long_name: str
+    params: tuple[str, ...]
+    generate: Callable[..., RouteSet]
+    bound: Callable[..., int] | None
+    start: Callable[[int], str]
+    smallest: tuple[int, ...] | None
+    defaults: Mapping[str, Callable[[int], int]] = field(default_factory=dict)
+
+    def needs(self, param: str) -> bool:
+        """Is `param` one the caller must give?"""
+        return param in self.params and param not in self.defaults
+
+
+def _first_carrier(k: int) -> str:
+    return "c0"
+
+
+FAMILIES = {f.name: f for f in (
+    # the adversary parks the agent on the hub, the last carrier
+    Family("thm3", "thm3_arb_homo", ("n", "k", "p"), gen_thm3, thm3_bound,
+           lambda k: f"c{k-1}", (9, 3, 5)),
+    Family("thm4", "thm4_arb_hetero", ("n", "k", "p"), gen_thm4, thm4_bound,
+           _first_carrier, (9, 3, 5)),
+    Family("siho", "siho_simple_homo", ("n", "k"), gen_siho, siho_bound, _first_carrier, (5, 2)),
+    Family("sihe", "sihe_simple_hetero", ("n", "k"), gen_sihe, sihe_bound, _first_carrier, (36, 4)),
+    Family("thm7", "thm7_circ_homo", ("n", "k"), gen_thm7, thm7_bound, _first_carrier, (4, 2)),
+    Family("thm8", "thm8_circ_hetero", ("n", "k"), gen_thm8, thm8_bound, _first_carrier, (7, 3)),
+    # no worst case, so no bound and no smallest point to pin
+    Family("random", "random", ("n", "k", "p", "seed"), gen_random_feasible, None, _first_carrier,
+           None, {"p": lambda n: max(2, n), "seed": lambda n: 0}),
+)}
+
+
+def get_family(name: str) -> Family:
+    """The table row of a short or long family name."""
+    for fam in FAMILIES.values():
+        if name in (fam.name, fam.long_name):
+            return fam
+    raise ParameterViolation(f"unknown family {name!r}")
 
 
 def make_instance(
@@ -410,50 +445,16 @@ def make_instance(
     seed: int | None = None,
 ) -> Instance:
     """Build a family instance with its bound and designated start attached."""
-    long_name = FAMILIES.get(family, family)
-    if long_name not in FAMILIES.values():
-        raise ParameterViolation(f"unknown family {family!r}")
-    if long_name == "thm3_arb_homo":
-        if p is None:
-            raise ParameterViolation("thm3 needs p")
-        rs = gen_thm3(n, k, p)
-        # the adversary parks the agent on the hub, the last carrier
-        return Instance(long_name, (("n", n), ("k", k), ("p", p)), rs,
-                        thm3_bound(n, k, p), f"c{k-1}")
-    if long_name == "thm4_arb_hetero":
-        if p is None:
-            raise ParameterViolation("thm4 needs p")
-        rs = gen_thm4(n, k, p)
-        return Instance(long_name, (("n", n), ("k", k), ("p", p)), rs,
-                        thm4_bound(n, k, p), "c0")
-    if long_name == "siho_simple_homo":
-        rs = gen_siho(n, k)
-        return Instance(long_name, (("n", n), ("k", k)), rs, siho_bound(n, k), "c0")
-    if long_name == "sihe_simple_hetero":
-        rs = gen_sihe(n, k)
-        return Instance(long_name, (("n", n), ("k", k)), rs, sihe_bound(n, k), "c0")
-    if long_name == "thm7_circ_homo":
-        rs = gen_thm7(n, k)
-        return Instance(long_name, (("n", n), ("k", k)), rs, thm7_bound(n, k), "c0")
-    if long_name == "thm8_circ_hetero":
-        rs = gen_thm8(n, k)
-        return Instance(long_name, (("n", n), ("k", k)), rs, thm8_bound(n, k), "c0")
-    if seed is None:
-        seed = 0
-    rs = gen_random_feasible(n, k, p if p is not None else max(2, n), seed)
-    params = (("n", n), ("k", k), ("p", p if p is not None else max(2, n)), ("seed", seed))
-    return Instance("random", params, rs, None, "c0")
-
-
-#: Smallest parameter point each family's constraints admit.
-SMALLEST_LEGAL = {
-    "thm3_arb_homo": {"n": 9, "k": 3, "p": 5},
-    "thm4_arb_hetero": {"n": 9, "k": 3, "p": 5},
-    "siho_simple_homo": {"n": 5, "k": 2},
-    "sihe_simple_hetero": {"n": 36, "k": 4},
-    "thm7_circ_homo": {"n": 4, "k": 2},
-    "thm8_circ_hetero": {"n": 7, "k": 3},
-}
+    fam = get_family(family)
+    given = {"n": n, "k": k, "p": p, "seed": seed}
+    args = []
+    for name in fam.params:
+        if given[name] is None and fam.needs(name):
+            raise ParameterViolation(f"{fam.name} needs {name}")
+        args.append(fam.defaults[name](n) if given[name] is None else given[name])
+    rs = fam.generate(*args)
+    bound = None if fam.bound is None else fam.bound(*args)
+    return Instance(fam.long_name, tuple(zip(fam.params, args)), rs, bound, fam.start(k))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +513,7 @@ def forge_thm1(
             tuple(sites),
         )
     retrace = _halting_run(gprime, strategy_factory(n, k), move_limit)
-    verdict = set(retrace.visited_sites) != set(gprime.sites)
+    verdict = not retrace.covers(gprime)
     return g, gprime, verdict
 
 
@@ -542,5 +543,5 @@ def forge_thm2(
         [(f"c{i}", nodes + [extra]) for i in range(k)], IDS, tuple(sites) + (extra,)
     )
     retrace = _halting_run(gprime, strategy_factory(k), move_limit)
-    verdict = extra not in set(retrace.visited_sites)
+    verdict = extra not in retrace.visited_sites
     return g, gprime, verdict

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 
 from .core import IDS, RouteSet, is_homogeneous
-from .engine import run
+from .engine import Trace, run
 from .errors import StateSpaceTooLarge
 from .strategies import GuessingRide, HitchARide
 
@@ -134,39 +134,48 @@ class BoundReport:
         )
 
 
+def race(routeset: RouteSet, start: str) -> dict[str, Trace]:
+    """Run the default explorers from `start`, keyed by name.
+
+    Hitch is told the true maximum period and whether the system is
+    homogeneous; guess, which needs site identities, is told n and runs
+    only on systems that grant them.
+    """
+    runners = {
+        "hitch": HitchARide(routeset.max_period, homogeneous_known=is_homogeneous(routeset))
+    }
+    if routeset.mode == IDS:
+        runners["guess"] = GuessingRide(routeset.n)
+    return {name: run(routeset, strat, start) for name, strat in runners.items()}
+
+
 def audit(instance, state_cap: int | None = None) -> BoundReport:
-    """Search the instance from its designated start and race the strategies.
+    """Search the instance from every start and race the strategies from its own.
 
     `instance` is an Instance from the generator module (kept untyped here
     to leave this module importable on its own).
     """
     rs = instance.routeset
+    rs.carrier(instance.start)  # an unknown start is a ParameterViolation
+    per_start = {c.id: min_moves(rs, c.id, state_cap) for c in rs.carriers}
     report = BoundReport(
         family=instance.family,
         parameters=instance.param_dict,
         theoretical_lower_bound=instance.bound,
-        oracle_optimum=min_moves(rs, instance.start, state_cap),
+        oracle_optimum=per_start[instance.start],
         oracle_max_over_starts=None,
     )
-    per_start = [min_moves(rs, c.id, state_cap) for c in rs.carriers]
-    if None in per_start:
+    if None in per_start.values():
         report.notes.append("some start carrier cannot cover the system")
     else:
-        report.oracle_max_over_starts = max(per_start)
+        report.oracle_max_over_starts = max(per_start.values())
 
-    runners = [
-        ("hitch", HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs)))
-    ]
-    if rs.mode == IDS:
-        runners.append(("guess", GuessingRide(rs.n)))
-    for name, strat in runners:
-        trace = run(rs, strat, instance.start)
-        covered = set(trace.visited_sites) == set(rs.sites)
-        if trace.halted and covered:
+    for name, trace in race(rs, instance.start).items():
+        if trace.halted and trace.covers(rs):
             report.strategy_moves[name] = trace.moves
         else:
             report.notes.append(
-                f"{name}: halted={trace.halted} covered={covered} "
+                f"{name}: halted={trace.halted} covered={trace.covers(rs)} "
                 f"after {trace.moves} moves"
             )
     return report

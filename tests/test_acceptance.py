@@ -39,7 +39,7 @@ from pvgraph import (
 from pvgraph.cli import THM1_TARGETS, THM2_TARGETS, main
 from pvgraph.errors import NoSuitablePrime, ParameterViolation
 from pvgraph.instances import (
-    SMALLEST_LEGAL,
+    FAMILIES,
     random_routeset_raw,
     sihe_params,
     siho_params,
@@ -67,8 +67,9 @@ def _corpus_instances() -> list[tuple[str, RouteSet]]:
         rs = gen_random_feasible(n, k, pmax, seed)
         assert is_feasible(rs) and rs.max_period <= 10
         out.append((f"random[{seed}]", rs))
-    for family, kw in SMALLEST_LEGAL.items():
-        out.append((family, make_instance(family, **kw).routeset))
+    for fam in FAMILIES.values():
+        if fam.smallest is not None:
+            out.append((fam.long_name, make_instance(fam.name, *fam.smallest).routeset))
     return out
 
 

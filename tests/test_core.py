@@ -68,6 +68,14 @@ def test_declared_universe_must_cover_routes():
         RouteSet.from_routes([("c0", ["a", "b"])], IDS, ("a",))
 
 
+def test_declared_universe_is_checked_in_linear_time():
+    sites = tuple(f"s{i}" for i in range(10_000))
+    t0 = time.perf_counter()
+    rs = RouteSet.from_routes([("c0", sites)], IDS, sites)
+    assert time.perf_counter() - t0 < 1.0
+    assert rs.n == 10_000
+
+
 def test_dead_declared_site_rejected():
     with pytest.raises(UnreachableSite):
         RouteSet.from_routes([("c0", ["a"])], IDS, ("a", "ghost"))
@@ -247,6 +255,14 @@ def test_concrete_cover_rejects_teleport_switch():
         TimedEdge(1, "c1", "d", "c"),  # carriers never met
     ), True, ("a", "b", "d", "c"))
     with pytest.raises(InconsistentWalk):
+        is_concrete_cover(rs, walk)
+
+
+@pytest.mark.parametrize("start,step_carrier", [("zz", "c0"), ("c0", "zz")])
+def test_concrete_cover_rejects_unknown_carriers(start, step_carrier):
+    rs = rs_of(["a", "b"], ["a", "c"])
+    walk = Trace(start, (TimedEdge(0, step_carrier, "a", "b"),), True, ("a", "b"))
+    with pytest.raises(InconsistentWalk, match="zz"):
         is_concrete_cover(rs, walk)
 
 

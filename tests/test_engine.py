@@ -197,3 +197,18 @@ def test_hitch_traces_always_replay(seed, n, k):
     tr = run(rs, strat, rs.carriers[0].id)
     assert tr.halted
     assert replay_check(rs, tr) == (True, None)
+
+
+def test_replay_flags_unknown_carriers():
+    rs = rs_of(["a", "b"], ["a", "c"])
+    step = TimedEdge(0, "c0", "a", "b")
+    assert replay_check(rs, Trace("zz", (step,), True, ("a", "b"))) == (False, 0)
+    unknown = TimedEdge(1, "zz", "b", "a")
+    assert replay_check(rs, Trace("c0", (step, unknown), True, ("a", "b"))) == (False, 1)
+
+
+def test_trace_covers_the_universe_of_the_routeset():
+    rs = rs_of(["a", "b"], ["a", "c"])
+    tr = run(rs, Scripted([Ride("c1"), Ride("c1"), Ride("c0")]), "c0")
+    assert tr.covers(rs)
+    assert not run(rs, Scripted([Ride("c1")]), "c0").covers(rs)

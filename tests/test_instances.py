@@ -22,7 +22,7 @@ from pvgraph import (
     min_moves,
 )
 from pvgraph.instances import (
-    SMALLEST_LEGAL,
+    FAMILIES,
     random_routeset_raw,
     sihe_params,
     siho_params,
@@ -58,11 +58,29 @@ def test_bound_and_frozen_optimum(family, params, bound, optimum):
     assert inst.bound <= optimum  # the whole point of the construction
 
 
+#: The smallest point each family's constraints admit, and the start carrier
+#: its bound argument pins there.
+SMALLEST = {
+    "thm3": ((9, 3, 5), "c2"),
+    "thm4": ((9, 3, 5), "c0"),
+    "siho": ((5, 2), "c0"),
+    "sihe": ((36, 4), "c0"),
+    "thm7": ((4, 2), "c0"),
+    "thm8": ((7, 3), "c0"),
+}
+
+
 def test_every_family_feasible_at_smallest_legal():
-    for family, kw in SMALLEST_LEGAL.items():
-        inst = make_instance(family, **kw)
-        assert is_feasible(inst.routeset), family
-        assert inst.start in inst.routeset.by_id
+    rows = {name: fam for name, fam in FAMILIES.items() if fam.smallest is not None}
+    assert {name: fam.smallest for name, fam in rows.items()} == {
+        name: point for name, (point, _) in SMALLEST.items()
+    }
+    for name, fam in rows.items():
+        inst = make_instance(name, *fam.smallest)
+        assert inst.family == fam.long_name
+        assert is_feasible(inst.routeset), name
+        assert inst.start == SMALLEST[name][1]
+        assert inst.bound == fam.bound(*fam.smallest)
 
 
 def test_thm3_shape():

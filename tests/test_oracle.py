@@ -91,6 +91,22 @@ def test_audit_reports_family_instance():
     assert report.notes == []
 
 
+def test_audit_searches_each_start_once(monkeypatch):
+    import pvgraph.oracle as oracle
+
+    calls = []
+    search = oracle.min_moves
+
+    def counted(rs, start, state_cap=None):
+        calls.append(start)
+        return search(rs, start, state_cap)
+
+    monkeypatch.setattr(oracle, "min_moves", counted)
+    report = audit(make_instance("thm8", 13, 3))
+    assert calls == ["c0", "c1", "c2"]
+    assert report.oracle_optimum == 62 and report.oracle_max_over_starts == 62
+
+
 def test_unknown_start_carrier_is_a_parameter_violation():
     rs = rs_of(["a", "b"])
     with pytest.raises(ParameterViolation, match="nope"):
