@@ -24,7 +24,7 @@ from .errors import (
     UnreachableSite,
 )
 from .instances import FAMILIES, Instance, forge_thm1, forge_thm2, get_family, make_instance
-from .oracle import audit, min_moves, race
+from .oracle import DEFAULT_STATE_CAP, audit, min_moves, race
 from .strategies import (
     FixedStepHalt,
     GuessingRide,
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exact optimum via state-space search")
     o.add_argument("--in", dest="infile", required=True)
     o.add_argument("--start", help="start carrier (default: first)")
-    o.add_argument("--state-cap", type=int)
+    o.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
 
     b = sub.add_parser("bench", help="sweep a family and tabulate moves")
     b.add_argument("--family", choices=families, metavar="FAMILY", required=True)
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--k", type=int, nargs="+", required=True)
     b.add_argument("--p", type=int, nargs="+")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--state-cap", type=int)
+    b.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     b.add_argument("-o", "--out")
 
     f = sub.add_parser("forge", help="build a counterexample to a halting strategy")
@@ -183,8 +183,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if fam.needs("p") and not args.p:
         print(f"{fam.name} needs --p", file=sys.stderr)
         return 2
+    if args.p and "p" not in fam.params:
+        print(f"{fam.name} takes no --p", file=sys.stderr)
+        return 2
     # a family without a period parameter reports the period it produced
-    plist = args.p if args.p and "p" in fam.params else [None]
+    plist = args.p or [None]
     lines = ["family,n,k,p,bound,oracle(opt),hitch_moves,guess_moves"]
     for n in args.n:
         for k in args.k:

@@ -39,7 +39,7 @@ class StrategyDidNotHalt(PVGraphError):
 
 
 class StateSpaceTooLarge(PVGraphError):
-    """Exact search would exceed the state cap; carries the computed size."""
+    """Exact search stored more states than the cap allows; carries the count."""
 
     def __init__(self, size: int, cap: int):
         super().__init__(f"state space {size} exceeds cap {cap}")

@@ -444,8 +444,15 @@ def make_instance(
     p: int | None = None,
     seed: int | None = None,
 ) -> Instance:
-    """Build a family instance with its bound and designated start attached."""
+    """Build a family instance with its bound and designated start attached.
+
+    A `p` the family does not take is a ParameterViolation. `seed` is
+    accepted for every family and ignored by the deterministic ones, so one
+    call can build any family.
+    """
     fam = get_family(family)
+    if p is not None and "p" not in fam.params:
+        raise ParameterViolation(f"{fam.name} takes no p")
     given = {"n": n, "k": k, "p": p, "seed": seed}
     args = []
     for name in fam.params:

@@ -1,14 +1,16 @@
-"""Exact optimum by breadth-first search over (carrier, time, visited-set).
+"""Exact optimum by breadth-first search over (site, time, visited-set).
 
-Positions repeat every L = lcm of all periods, so (carrier, t mod L,
-visited-mask) captures everything the future depends on. The state space is
-k * L * 2^n; a hard cap keeps the search from silently eating memory.
+Every move rides one carrier from the agent's site, and any carrier at that
+site may be boarded, so (site, t mod L, visited-mask) captures everything the
+future depends on, where L is the lcm of all periods. All states of BFS layer
+t share the phase t mod L, so the search steps one layer at a time and stores
+only the states it reaches; a cap on their number keeps it from silently
+eating memory.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 from .core import IDS, RouteSet, is_homogeneous
@@ -17,80 +19,54 @@ from .errors import StateSpaceTooLarge
 from .strategies import GuessingRide, HitchARide
 
 DEFAULT_STATE_CAP = 1 << 22
-_CAP_ENV = "PVG_STATE_CAP"
-
-
-def _resolve_cap(state_cap: int | None) -> int:
-    if state_cap is not None:
-        return state_cap
-    env = os.environ.get(_CAP_ENV)
-    return int(env) if env else DEFAULT_STATE_CAP
 
 
 def min_moves(
-    routeset: RouteSet, start_carrier: str, state_cap: int | None = None
+    routeset: RouteSet, start_carrier: str, state_cap: int = DEFAULT_STATE_CAP
 ) -> int | None:
     """Fewest moves to visit every site starting on `start_carrier` at t=0.
 
     Returns None when no walk from that start ever covers the system.
-    Raises StateSpaceTooLarge rather than allocate past the cap
-    (argument, else $PVG_STATE_CAP, else 2^22 states).
+    Raises StateSpaceTooLarge once more than `state_cap` states are stored.
     """
     start = routeset.carrier(start_carrier)
-    cap = _resolve_cap(state_cap)
-    k, n = routeset.k, routeset.n
+    n = routeset.n
     L = math.lcm(*(c.route.period for c in routeset.carriers))
-    total = k * L * (1 << n)
-    if total > cap:
-        raise StateSpaceTooLarge(total, cap)
-
     idx = routeset.site_index
-    pos = [
-        [idx[c.route.at(t)] for t in range(L)] for c in routeset.carriers
-    ]
-    # carriers co-located with carrier ci at phase ph — the legal boardings
-    succ: list[list[tuple[int, ...]]] = []
-    for ci in range(k):
-        succ.append(
-            [
-                tuple(cj for cj in range(k) if pos[cj][ph] == pos[ci][ph])
-                for ph in range(L)
-            ]
-        )
-
-    ci0 = routeset.carriers.index(start)
+    routes = [tuple(idx[s] for s in c.route.sites) for c in routeset.carriers]
     full = (1 << n) - 1
-    start_mask = 1 << pos[ci0][0]
-    if start_mask == full:
+    site = idx[start.route.at(0)]
+    mask = 1 << site
+    if mask == full:
         return 0
 
-    seen = bytearray(total)
-    states_per_phase = 1 << n
-
-    def key(ci: int, ph: int, mask: int) -> int:
-        return (ci * L + ph) * states_per_phase + mask
-
-    seen[key(ci0, 0, start_mask)] = 1
-    frontier = [(ci0, 0, start_mask)]
-    moves = 0
+    seen = {site << n | mask}
+    frontier = [(site, mask)]
+    t = 0
     while frontier:
-        moves += 1
+        if len(seen) > state_cap:
+            raise StateSpaceTooLarge(len(seen), state_cap)
+        # where each site's carriers are one step later: the legal moves
+        hops: dict[int, set[int]] = {}
+        for r in routes:
+            hops.setdefault(r[t % len(r)], set()).add(r[(t + 1) % len(r)])
+        t += 1
+        base = t % L * n
         nxt = []
-        for ci, ph, mask in frontier:
-            ph1 = (ph + 1) % L
-            for cj in succ[ci][ph]:
-                m1 = mask | (1 << pos[cj][ph1])
+        for site, mask in frontier:
+            for s1 in hops[site]:
+                m1 = mask | 1 << s1
                 if m1 == full:
-                    return moves
-                kk = key(cj, ph1, m1)
-                if not seen[kk]:
-                    seen[kk] = 1
-                    nxt.append((cj, ph1, m1))
+                    return t
+                key = (base + s1) << n | m1
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((s1, m1))
         frontier = nxt
     return None
 
 
-def exact_feasible(routeset: RouteSet, state_cap: int | None = None) -> bool:
+def exact_feasible(routeset: RouteSet, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """Ground truth for feasibility: every start carrier admits a cover."""
     return all(
         min_moves(routeset, c.id, state_cap) is not None
@@ -149,7 +125,7 @@ def race(routeset: RouteSet, start: str) -> dict[str, Trace]:
     return {name: run(routeset, strat, start) for name, strat in runners.items()}
 
 
-def audit(instance, state_cap: int | None = None) -> BoundReport:
+def audit(instance, state_cap: int = DEFAULT_STATE_CAP) -> BoundReport:
     """Search the instance from every start and race the strategies from its own.
 
     `instance` is an Instance from the generator module (kept untyped here

@@ -154,7 +154,12 @@ def test_criterion_4_thm3_audit():
 
 def test_criterion_5_remaining_audits(tmp_path):
     points = [("thm4", dict(n=9, k=3, p=5), 22), ("thm7", dict(n=8, k=3), 16),
-              ("thm8", dict(n=13, k=3), 61)]
+              ("thm8", dict(n=13, k=3), 61),
+              # real sizes, all six constructions
+              ("siho", dict(n=20, k=3), 479), ("siho", dict(n=24, k=4), 1375),
+              ("sihe", dict(n=36, k=4), 4183), ("thm8", dict(n=30, k=4), 477),
+              ("thm7", dict(n=20, k=5), 80), ("thm4", dict(n=15, k=4, p=7), 87),
+              ("thm3", dict(n=18, k=4, p=8), 24)]
     details = []
     ok = True
     for family, kw, floor in points:

@@ -44,6 +44,9 @@ def test_generate_rejects_bad_parameters(capsys):
     code, _, err = run_cli(capsys, "generate", "--family", "thm3", "--n", "8", "--k", "3", "--p", "4")
     assert code == 2
     assert "n >= 9" in err
+    code, _, err = run_cli(capsys, "generate", "--family", "thm7", "--n", "8", "--k", "3", "--p", "99")
+    assert code == 2
+    assert "takes no p" in err
 
 
 def test_generate_unknown_family_is_usage_error(capsys):
@@ -225,10 +228,20 @@ def test_bench_oracle_cell_blank_beyond_cap(capsys):
     assert row[6] != "" and row[7] != ""  # strategies still measured
 
 
+def test_bench_audits_a_simple_route_family_at_real_size(capsys):
+    code, out, err = run_cli(capsys, "bench", "--family", "siho", "--n", "20", "--k", "3")
+    assert code == 0, err
+    row = out.strip().splitlines()[1].split(",")
+    assert row[4:6] == ["479", "482"]  # bound, oracle(opt)
+
+
 def test_bench_requires_p_for_parameterized_families(capsys):
     code, _, err = run_cli(capsys, "bench", "--family", "thm3", "--n", "9", "--k", "3")
     assert code == 2
     assert "--p" in err
+    code, out, err = run_cli(capsys, "bench", "--family", "thm7", "--n", "8", "--k", "3", "--p", "5")
+    assert code == 2
+    assert "takes no --p" in err and out == ""
 
 
 def test_bench_deterministic(capsys):

@@ -174,6 +174,9 @@ def test_preconditions_rejected():
         gen_thm8(6, 3)
     with pytest.raises(ParameterViolation):
         make_instance("thm3", 12, 4)  # p is mandatory here
+    with pytest.raises(ParameterViolation, match="takes no p"):
+        make_instance("thm7", 8, 3, 5)  # thm7 has no period parameter
+    assert make_instance("thm7", 8, 3, seed=5) == make_instance("thm7", 8, 3)
     with pytest.raises(ParameterViolation):
         make_instance("nonsense", 5, 2)
 

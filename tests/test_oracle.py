@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvgraph import (
     BoundReport,
@@ -15,6 +16,8 @@ from pvgraph import (
     make_instance,
     min_moves,
 )
+from pvgraph.instances import random_routeset_raw
+from pvgraph.oracle import race
 
 
 def rs_of(*routes):
@@ -51,20 +54,29 @@ def test_duplicate_of_a_carrier_never_hurts():
 
 
 def test_state_cap_enforced():
+    # the cap counts the states the search stores; this search stores more than 100
     inst = make_instance("thm3", 12, 4, 6)
     with pytest.raises(StateSpaceTooLarge) as ei:
-        min_moves(inst.routeset, inst.start, state_cap=1000)
-    assert ei.value.cap == 1000
-    assert ei.value.size > 1000
+        min_moves(inst.routeset, inst.start, state_cap=100)
+    assert ei.value.cap == 100
+    assert ei.value.size > 100
+    assert min_moves(inst.routeset, inst.start) == 19
 
 
-def test_state_cap_from_environment(monkeypatch):
-    rs = rs_of(["a", "b", "c"])
-    monkeypatch.setenv("PVG_STATE_CAP", "2")
-    with pytest.raises(StateSpaceTooLarge):
-        min_moves(rs, "c0")
-    monkeypatch.setenv("PVG_STATE_CAP", "100")
-    assert min_moves(rs, "c0") == 2
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_no_strategy_beats_the_optimum(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    p = data.draw(st.integers(max(1, -(-n // k)), 7), label="p_max")
+    rs = random_routeset_raw(n, k, p, data.draw(st.integers(0, 2 ** 30), label="seed"))
+    for c in rs.carriers:
+        opt = min_moves(rs, c.id)
+        if opt is None:
+            continue
+        for name, trace in race(rs, c.id).items():
+            if trace.halted and trace.covers(rs):
+                assert trace.moves >= opt, (name, c.id, trace.moves, opt)
 
 
 def test_exact_feasible_quantifies_over_starts():
