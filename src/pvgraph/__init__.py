@@ -22,7 +22,6 @@ from .core import (
     is_homogeneous,
     is_irredundant,
     is_simple,
-    position,
 )
 from .engine import (
     Halt,
@@ -73,7 +72,7 @@ __all__ = [
     "ANONYMOUS", "IDS",
     "Carrier", "MeetingGraph", "Route", "RouteSet", "TimedEdge", "Witness",
     "build_meeting_graph", "carriers_at", "is_concrete_cover", "is_feasible",
-    "is_homogeneous", "is_irredundant", "is_simple", "position",
+    "is_homogeneous", "is_irredundant", "is_simple",
     "Halt", "HALT", "Observation", "Ride", "Strategy", "Trace",
     "default_move_limit", "replay_check", "run", "summary_line",
     "summary_record", "trace_to_csv",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InconsistentWalk, ParameterViolation, UnreachableSite
@@ -88,10 +89,7 @@ class RouteSet:
         ids = [c.id for c in self.carriers]
         if len(set(ids)) != len(ids):
             raise ValueError("carrier ids must be unique")
-        seen: dict[str, None] = {}
-        for c in self.carriers:
-            for s in c.route.sites:
-                seen.setdefault(s)
+        seen = dict.fromkeys(chain.from_iterable(c.route.sites for c in self.carriers))
         if not self.sites:
             object.__setattr__(self, "sites", tuple(seen))
         else:
@@ -147,19 +145,14 @@ class RouteSet:
             raise ParameterViolation(f"no carrier {cid!r}") from None
 
 
-def position(carrier: Carrier, t: int) -> str:
-    """Where the carrier stands at time t ≥ 0."""
-    return carrier.route.at(t)
-
-
 def carriers_at(routeset: RouteSet, t: int, x: str) -> frozenset[str]:
     """Ids of every carrier standing on site x at time t."""
     return frozenset(c.id for c in routeset.carriers if c.route.at(t) == x)
 
 
 def _directed_edges(route: Route) -> list[tuple[str, str]]:
-    p = route.period
-    return [(route.sites[i], route.sites[(i + 1) % p]) for i in range(p)]
+    s = route.sites
+    return list(zip(s, s[1:] + s[:1]))
 
 
 def is_simple(route: Route) -> bool:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Protocol
 
-from .core import IDS, RouteSet, TimedEdge, _walk_fault, position
+from .core import IDS, RouteSet, TimedEdge, _walk_fault, carriers_at
 from .errors import IllegalAction
 
 
@@ -98,16 +98,14 @@ def run(
     carrier = routeset.carrier(start_carrier)
     expose_sites = routeset.mode == IDS
     t = 0
-    site = position(carrier, 0)
+    site = carrier.route.sites[0]
     steps: list[TimedEdge] = []
     visited = [site]
     seen = {site}
     halted = False
     limit_hit = False
     while True:
-        arriving = frozenset(
-            c.id for c in routeset.carriers if position(c, t) == site
-        )
+        arriving = carriers_at(routeset, t, site)
         obs = Observation(t, carrier.id, arriving, site if expose_sites else None)
         action = strategy.decide(obs)
         if isinstance(action, Halt):
@@ -121,7 +119,7 @@ def run(
             )
         carrier = routeset.carrier(action.carrier)
         t += 1
-        frm, site = site, position(carrier, t)
+        frm, site = site, carrier.route.at(t)
         steps.append(TimedEdge(t - 1, carrier.id, frm, site))
         if site not in seen:
             seen.add(site)

@@ -112,9 +112,8 @@ def load(path: str | Path) -> RouteSet:
     return loads(Path(path).read_text(encoding="utf-8"))
 
 
-def dump(routeset: RouteSet, path: str | Path, comments: tuple[str, ...] = ()) -> None:
-    text = dumps(routeset) + "".join(f"# {c}\n" for c in comments)
-    Path(path).write_text(text, encoding="utf-8")
+def dump(routeset: RouteSet, path: str | Path) -> None:
+    Path(path).write_text(dumps(routeset), encoding="utf-8")
 
 
 def read_bound_comment(text: str) -> int | None:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .core import ANONYMOUS, IDS, RouteSet, is_feasible, position
+from .core import ANONYMOUS, IDS, RouteSet, is_feasible
 from .engine import Strategy, Trace, run
 from .errors import (
     NoCoprimePair,
@@ -73,21 +73,20 @@ def _slow_spoke(anchor: str, others: Sequence[str], anchor_phase: int, p: int) -
     an explorer boarding at the anchor learns nothing new until it has ridden
     nearly a full period.
     """
-    m = 1 + len(others)
-    filler = [others[0]] * (p - m + 1) + list(others[1:])
-    route = [""] * p
-    route[anchor_phase % p] = anchor
-    for off, site in enumerate(filler, start=1):
-        route[(anchor_phase + off) % p] = site
-    return route
+    order = [anchor] + [others[0]] * (p - len(others)) + list(others[1:])
+    cut = p - anchor_phase % p
+    return order[cut:] + order[:cut]
 
 
-def _split_last_lump(names: list[str], groups: int) -> list[list[str]]:
+def _group_sizes(total: int, groups: int) -> list[int]:
     """Equal groups of floor size; the remainder lands in the last group."""
-    base = len(names) // groups
-    out = [names[i * base : (i + 1) * base] for i in range(groups)]
-    out[-1].extend(names[groups * base :])
-    return out
+    base, rem = divmod(total, groups)
+    return [base] * (groups - 1) + [base + rem]
+
+
+def _spoke_sites(first: int, sizes: Sequence[int]) -> list[list[str]]:
+    """The non-anchor sites s{i}_1.. of each group, groups numbered from `first`."""
+    return [[f"s{i}_{j}" for j in range(1, size)] for i, size in enumerate(sizes, first)]
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +106,11 @@ def gen_thm3(n: int, k: int, p: int) -> RouteSet:
     _require(p >= max(k - 1, -(-n // (k - 1))), "p >= max(k-1, ceil(n/(k-1)))")
     base, rem = divmod(n, k - 1)
     _require(p >= base + rem, "p >= floor(n/(k-1)) + n mod (k-1) (largest group must fit one period)")
-    names = [f"x{i}" for i in range(k - 1)]
-    sites = list(names)
-    groups = []
-    for i, cnt in enumerate(_split_last_lump(list(range(n)), k - 1)):
-        extra = [f"s{i}_{j}" for j in range(1, len(cnt))]
-        sites.extend(extra)
-        groups.append([f"x{i}", *extra])
-    routes = [
-        (f"c{i}", _slow_spoke(g[0], g[1:], i, p)) for i, g in enumerate(groups)
-    ]
-    routes.append((f"c{k-1}", [f"x{j % (k - 1)}" for j in range(p)]))
-    return RouteSet.from_routes(routes, IDS, tuple(sites))
+    xs = [f"x{i}" for i in range(k - 1)]
+    ss = _spoke_sites(0, _group_sizes(n, k - 1))
+    routes = [(f"c{i}", _slow_spoke(xs[i], ss[i], i, p)) for i in range(k - 1)]
+    routes.append((f"c{k-1}", [xs[j % (k - 1)] for j in range(p)]))
+    return RouteSet.from_routes(routes, IDS, tuple(xs + sum(ss, [])))
 
 
 def thm3_bound(n: int, k: int, p: int) -> int:
@@ -137,20 +129,12 @@ def gen_thm4(n: int, k: int, p: int) -> RouteSet:
     _require(p >= k + 2, "p >= k+2 (hub period p-1 must fit a0, k-1 anchors, and a1)")
     base, rem = divmod(n - 2, k - 1)
     _require(p >= base + rem, "p >= floor((n-2)/(k-1)) + (n-2) mod (k-1)")
-    hub = [""] * (p - 1)
-    hub[0] = "a0"
-    for i in range(1, k):
-        hub[i] = f"x{i}"
-    for ph in range(k, p - 1):
-        hub[ph] = "a1"
-    sites = ["a0", "a1"] + [f"x{i}" for i in range(1, k)]
-    routes = [("c0", hub)]
-    for idx, cnt in enumerate(_split_last_lump(list(range(n - 2)), k - 1)):
-        i = idx + 1
-        extra = [f"s{i}_{j}" for j in range(1, len(cnt))]
-        sites.extend(extra)
-        routes.append((f"c{i}", _slow_spoke(f"x{i}", extra, i % p, p)))
-    return RouteSet.from_routes(routes, IDS, tuple(sites))
+    anchors = ["a0", "a1"]
+    xs = [f"x{i}" for i in range(1, k)]
+    ss = _spoke_sites(1, _group_sizes(n - 2, k - 1))
+    routes = [("c0", anchors[:1] + xs + anchors[1:] * (p - 1 - k))]
+    routes += [(f"c{i}", _slow_spoke(xs[i - 1], ss[i - 1], i, p)) for i in range(1, k)]
+    return RouteSet.from_routes(routes, IDS, tuple(anchors + xs + sum(ss, [])))
 
 
 def thm4_bound(n: int, k: int, p: int) -> int:
@@ -161,11 +145,11 @@ def thm4_bound(n: int, k: int, p: int) -> int:
 # simple-route families built on a prime stride table
 
 
-def _stride_index(i: int, j: int, m: int) -> int:
-    # row s uses stride s+1; with m prime, rows of two distinct carriers
-    # never align, so carriers collide only where the construction wants
-    s, r = divmod(j, m)
-    return (i + (s + 1) * r) % m
+def _stride_row(i: int, m: int) -> list[int]:
+    # carrier i's m*m-long walk over x_0..x_{m-1}: block s steps by stride s+1;
+    # with m prime, rows of two distinct carriers never align, so carriers
+    # collide only where the construction wants
+    return [(i + (s + 1) * r) % m for s in range(m) for r in range(m)]
 
 
 def gen_siho(n: int, k: int) -> RouteSet:
@@ -180,13 +164,14 @@ def gen_siho(n: int, k: int) -> RouteSet:
     _require(2 <= k <= n / 2, "2 <= k <= n/2")
     m, nbar, _ = siho_params(n, k)
     _require(k <= m, "k <= largest prime below n-k")
-    corridor = [f"z{l}" for l in range(1, nbar + 1)]
+    zs = [f"z{l}" for l in range(1, nbar + 1)]
+    xs = [f"x{i}" for i in range(m)]
+    ys = [f"y{i}" for i in range(1, k + 1)]
     routes = []
     for i in range(1, k + 1):
-        walk = [f"x{_stride_index(i, j, m)}" for j in range(1, m * m - m + 1)]
-        routes.append((f"c{i-1}", corridor + walk + [f"y{i}"]))
-    sites = corridor + [f"x{i}" for i in range(m)] + [f"y{i}" for i in range(1, k + 1)]
-    return RouteSet.from_routes(routes, IDS, tuple(sites))
+        walk = [xs[j] for j in _stride_row(i, m)[1 : m * m - m + 1]]
+        routes.append((f"c{i-1}", zs + walk + [ys[i - 1]]))
+    return RouteSet.from_routes(routes, IDS, tuple(zs + xs + ys))
 
 
 def siho_params(n: int, k: int) -> tuple[int, int, int]:
@@ -215,37 +200,27 @@ def gen_sihe(n: int, k: int) -> RouteSet:
     m, nbar, _, _ = sihe_params(n, k)
     _require(k <= m, "k <= chosen prime")
     ceil_h = (nbar + 1) // 2
-    floor_h = nbar // 2
     big = m * m - m
+    xs = [f"x{j}" for j in range(m)]
+    ys = [f"y{j}" for j in range(m)]
+    ws = [f"w{l}" for l in range(1, nbar + 1)]
+    us = [f"u{i}" for i in range(1, k)]
+    vs = [f"v{l}" for l in range(1, k - 1)]
+    zs = [f"z{l}" for l in range(1, k)]
 
-    routes = []
     # c0: x-stride walk, first half of the w corridor, then the z contact row
-    alpha0 = [f"x{_stride_index(0, j, m)}" for j in range(1, big - ceil_h + 1)]
-    gamma0 = [f"w{l}" for l in range(1, ceil_h + 1)]
-    zeta0 = [f"z{l}" for l in range(1, k)]
-    routes.append(("c0", alpha0 + gamma0 + zeta0))
+    alpha0 = [xs[j] for j in _stride_row(0, m)[1 : big - ceil_h + 1]]
+    routes = [("c0", alpha0 + ws[:ceil_h] + zs)]
     for i in range(1, k):
-        a_len = big - floor_h - i + 1
-        alpha = [f"y{_stride_index(i, j, m)}" for j in range(1, a_len + 1)]
-        gamma = [f"w{l}" for l in range(ceil_h + 1, nbar + 1)]
-        delta = [f"y{_stride_index(i, j, m)}" for j in range(a_len + 1, a_len + i)]
-        zeta = [""] * k
-        zeta[0] = f"u{i}"
-        zeta[i] = f"z{i}"
-        for o in range(1, k):
-            if o != i:  # 0 < |o-i| < k-1, so the residue is never 0
-                zeta[o] = f"v{(o - i) % (k - 1)}"
-        routes.append((f"c{i}", alpha + gamma + delta + zeta))
-
-    sites = (
-        [f"x{j}" for j in range(m)]
-        + [f"y{j}" for j in range(m)]
-        + [f"w{l}" for l in range(1, nbar + 1)]
-        + [f"u{i}" for i in range(1, k)]
-        + [f"v{l}" for l in range(1, k - 1)]
-        + [f"z{l}" for l in range(1, k)]
-    )
-    return RouteSet.from_routes(routes, IDS, tuple(sites))
+        # a y-stride walk cut in two around the second half of the corridor
+        row = [ys[j] for j in _stride_row(i, m)]
+        cut = big - nbar // 2 - i + 2
+        # z_i meets c0; slot o != i holds v_{(o-i) mod (k-1)}, an index never 0
+        zeta = [us[i - 1]] + [
+            zs[i - 1] if o == i else vs[(o - i) % (k - 1) - 1] for o in range(1, k)
+        ]
+        routes.append((f"c{i}", row[1:cut] + ws[ceil_h:] + row[cut : cut + i - 1] + zeta))
+    return RouteSet.from_routes(routes, IDS, tuple(xs + ys + ws + us + vs + zs))
 
 
 def sihe_params(n: int, k: int) -> tuple[int, int, int, int]:
@@ -277,15 +252,14 @@ def gen_thm7(n: int, k: int) -> RouteSet:
     """
     _require(n >= 4, "n >= 4")
     _require(2 <= k <= n / 2, "2 <= k <= n/2")
-    spine = n - k
+    xs = [f"x{j}" for j in range(n - k)]
+    ys = [f"y{i}" for i in range(1, k + 1)]
     routes = []
     for i in range(1, k + 1):
-        out = [f"x{j}" for j in range(i, spine)]
-        low = [f"x{j}" for j in range(1, i)]
-        path = out + low + [f"y{i}"] + low[::-1] + out[::-1]
-        routes.append((f"c{i-1}", ["x0"] + path))
-    sites = [f"x{j}" for j in range(spine)] + [f"y{i}" for i in range(1, k + 1)]
-    return RouteSet.from_routes(routes, IDS, tuple(sites))
+        out, low = xs[i:], xs[1:i]
+        path = out + low + [ys[i - 1]] + low[::-1] + out[::-1]
+        routes.append((f"c{i-1}", xs[:1] + path))
+    return RouteSet.from_routes(routes, IDS, tuple(xs + ys))
 
 
 def thm7_bound(n: int, k: int) -> int:
@@ -320,16 +294,13 @@ def gen_thm8(n: int, k: int) -> RouteSet:
     _require(k >= 3, "k >= 3 (the bound formula needs the k-2 relay term)")
     r, q = thm8_periods(n, k)
     _require(q >= k + 1, "q >= k+1 (each long ring needs a distinct rotation)")
-    routes = [("c0", ["x0"] + [f"y{l}" for l in range(1, r)])]
-    for i in range(1, k):
-        cyc = [f"x{(i + t) % (q - 1)}" for t in range(q - 1)]
-        routes.append((f"c{i}", cyc + [f"z{i}"]))
-    sites = (
-        [f"x{j}" for j in range(q - 1)]
-        + [f"y{l}" for l in range(1, r)]
-        + [f"z{i}" for i in range(1, k)]
-    )
-    return RouteSet.from_routes(routes, IDS, tuple(sites))
+    xs = [f"x{j}" for j in range(q - 1)]
+    ys = [f"y{l}" for l in range(1, r)]
+    zs = [f"z{i}" for i in range(1, k)]
+    routes = [("c0", xs[:1] + ys)]
+    # i < k <= q-1, so each rotation is distinct
+    routes += [(f"c{i}", xs[i:] + xs[:i] + [zs[i - 1]]) for i in range(1, k)]
+    return RouteSet.from_routes(routes, IDS, tuple(xs + ys + zs))
 
 
 def thm8_bound(n: int, k: int) -> int:
@@ -469,7 +440,7 @@ def make_instance(
 
 
 def _walk_nodes(rs: RouteSet, trace: Trace) -> list[str]:
-    return [position(rs.carrier(trace.start_carrier), 0)] + [s.to_site for s in trace.steps]
+    return [rs.carrier(trace.start_carrier).route.sites[0]] + [s.to_site for s in trace.steps]
 
 
 def _halting_run(rs: RouteSet, strategy: Strategy, move_limit: int | None) -> Trace:

@@ -24,9 +24,7 @@ from pvgraph import (
     is_homogeneous,
     is_irredundant,
     is_simple,
-    position,
 )
-from pvgraph.core import Carrier
 from pvgraph.engine import Trace, TimedEdge
 from pvgraph.errors import InconsistentWalk, ParameterViolation, UnreachableSite
 
@@ -38,9 +36,9 @@ def rs_of(*routes: list[str], mode: str = IDS) -> RouteSet:
 
 
 def test_position_wraps_modulo_period():
-    c = Carrier("c0", Route(("a", "b", "c")))
-    assert [position(c, t) for t in range(7)] == ["a", "b", "c", "a", "b", "c", "a"]
-    assert position(c, 300) == "a"
+    r = Route(("a", "b", "c"))
+    assert [r.at(t) for t in range(7)] == ["a", "b", "c", "a", "b", "c", "a"]
+    assert r.at(300) == "a"
 
 
 def test_route_domain_and_period():

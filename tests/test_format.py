@@ -97,16 +97,14 @@ def test_read_bound_comment():
     assert read_bound_comment(GOLDEN) is None
 
 
-def test_dump_appends_comments(tmp_path):
+def test_dump_round_trips(tmp_path):
     from pvgraph import dump, load
 
     rs = loads(GOLDEN)
     path = tmp_path / "g.pvg"
-    dump(rs, path, comments=("bound 7",))
-    text = path.read_text()
-    assert text.endswith("# bound 7\n")
-    assert load(path).sites == rs.sites
-    assert read_bound_comment(text) == 7
+    dump(rs, path)
+    assert path.read_text() == dumps(rs)
+    assert load(path) == rs
 
 
 @settings(max_examples=60, deadline=None)

@@ -42,13 +42,34 @@ def _random_points():
         yield ("random", n, k, None if seed % 2 else -(-n // k) + 1, seed)
 
 
-def test_instances_are_byte_identical():
+def _instances_sha256(points) -> str:
     h = hashlib.sha256()
-    for point in [*GRID, *_random_points()]:
+    for point in points:
         inst = make_instance(*point)
         h.update(f"{inst.family} {inst.params} {inst.bound} {inst.start}\n".encode())
         h.update(dumps(inst.routeset).encode())
-    assert h.hexdigest() == GRID_SHA256
+    return h.hexdigest()
+
+
+def test_instances_are_byte_identical():
+    assert _instances_sha256([*GRID, *_random_points()]) == GRID_SHA256
+
+
+#: Points the grid misses: thm8 with odd n-k, thm7 at k = n/2, siho and sihe
+#: with many carriers, and hub-and-spoke systems whose last group takes a
+#: remainder. Recorded before the generators were rewritten to slice site lists.
+CORNERS = [
+    ("thm8", 8, 3), ("thm8", 10, 3), ("thm8", 21, 4),
+    ("thm7", 8, 4), ("thm7", 60, 30),
+    ("siho", 30, 13), ("siho", 60, 29),
+    ("sihe", 54, 7),
+    ("thm3", 14, 4, 6), ("thm4", 13, 4, 7),
+]
+CORNERS_SHA256 = "bf21a54cb25893504f20f41080b9597da299401ab5c3394abb7757b89a42d740"
+
+
+def test_corner_instances_are_byte_identical():
+    assert _instances_sha256(CORNERS) == CORNERS_SHA256
 
 
 @pytest.mark.parametrize("short,long_name", sorted(LONG_NAMES.items()))
