@@ -33,9 +33,9 @@ class Route:
     sites: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "sites", tuple(self.sites))
         if not self.sites:
             raise ValueError("route must contain at least one site")
-        object.__setattr__(self, "sites", tuple(self.sites))
 
     @property
     def period(self) -> int:
@@ -138,6 +138,11 @@ class RouteSet:
     def by_id(self) -> dict[str, Carrier]:
         return {c.id: c for c in self.carriers}
 
+    @cached_property
+    def schedule(self) -> "Schedule":
+        """The integer routes and who may share each phase's site, built on first use."""
+        return _build_schedule(self)
+
     def carrier(self, cid: str) -> Carrier:
         try:
             return self.by_id[cid]
@@ -146,8 +151,56 @@ class RouteSet:
 
 
 def carriers_at(routeset: RouteSet, t: int, x: str) -> frozenset[str]:
-    """Ids of every carrier standing on site x at time t."""
+    """Ids of every carrier standing on site x at time t.
+
+    The reference scan over all routes; the engine looks the same set up in
+    `RouteSet.schedule` instead.
+    """
     return frozenset(c.id for c in routeset.carriers if c.route.at(t) == x)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """The routes as site indices, and who can share each phase's site.
+
+    `routes[c][i]` is the index in `RouteSet.sites` of carrier c's site at
+    phase i. `company[c][i]` lists, in carrier order, every other carrier d
+    that stands on that site at some instant ≡ i (mod p_c): those with a
+    phase j ≡ i (mod gcd(p_c, p_d)) on the same site. The carriers on c's
+    site at instant t are thus c and the d in `company[c][t mod p_c]` whose
+    route is at that site at t. Both tables hold O(k·Σp) entries, none in
+    proportion to the lcm of the periods.
+    """
+
+    routes: tuple[tuple[int, ...], ...]
+    company: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _build_schedule(routeset: RouteSet) -> Schedule:
+    idx = routeset.site_index
+    routes = tuple(tuple(idx[s] for s in c.route.sites) for c in routeset.carriers)
+    holders: list[list[int]] = [[] for _ in routeset.sites]  # carriers whose route holds the site
+    for d, r in enumerate(routes):
+        for s in set(r):
+            holders[s].append(d)
+    classes: dict[tuple[int, int], set[int]] = {}  # (d, g) -> {site·g + phase mod g} of d's route
+    company = []
+    for c, r in enumerate(routes):
+        p = len(r)
+        row = []
+        for i, s in enumerate(r):
+            mates = []
+            for d in holders[s]:
+                if d == c:
+                    continue
+                g = math.gcd(p, len(routes[d]))
+                if (d, g) not in classes:
+                    classes[d, g] = {x * g + j % g for j, x in enumerate(routes[d])}
+                if s * g + i % g in classes[d, g]:
+                    mates.append(d)
+            row.append(tuple(mates))
+        company.append(tuple(row))
+    return Schedule(routes, tuple(company))
 
 
 def _directed_edges(route: Route) -> list[tuple[str, str]]:

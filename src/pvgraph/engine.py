@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Protocol
 
-from .core import IDS, RouteSet, TimedEdge, _walk_fault, carriers_at
+from .core import IDS, RouteSet, TimedEdge, _walk_fault
 from .errors import IllegalAction
 
 
@@ -95,18 +95,31 @@ def run(
         move_limit = default_move_limit(routeset, strategy)
     if move_limit <= 0:
         raise ValueError("move_limit must be positive")
-    carrier = routeset.carrier(start_carrier)
+    routeset.carrier(start_carrier)  # an unknown start is a ParameterViolation
+    routes, company = routeset.schedule.routes, routeset.schedule.company
+    ids = [c.id for c in routeset.carriers]
+    index = {cid: c for c, cid in enumerate(ids)}
+    alone = [frozenset((cid,)) for cid in ids]  # the arrival set whenever c has no company
+    names = routeset.sites
     expose_sites = routeset.mode == IDS
+    # the agent rides carrier c and stands on site index `site`
+    c = index[start_carrier]
     t = 0
-    site = carrier.route.sites[0]
+    site = routes[c][0]
     steps: list[TimedEdge] = []
-    visited = [site]
+    visited = [names[site]]
     seen = {site}
     halted = False
     limit_hit = False
     while True:
-        arriving = carriers_at(routeset, t, site)
-        obs = Observation(t, carrier.id, arriving, site if expose_sites else None)
+        mates = company[c][t % len(routes[c])]
+        if mates:
+            arriving = frozenset(
+                [ids[c], *(ids[d] for d in mates if routes[d][t % len(routes[d])] == site)]
+            )
+        else:
+            arriving = alone[c]
+        obs = Observation(t, ids[c], arriving, names[site] if expose_sites else None)
         action = strategy.decide(obs)
         if isinstance(action, Halt):
             halted = True
@@ -117,13 +130,13 @@ def run(
             raise IllegalAction(
                 f"carrier {action.carrier} is not at the agent's site at t={t}"
             )
-        carrier = routeset.carrier(action.carrier)
+        c = index[action.carrier]
         t += 1
-        frm, site = site, carrier.route.at(t)
-        steps.append(TimedEdge(t - 1, carrier.id, frm, site))
+        frm, site = site, routes[c][t % len(routes[c])]
+        steps.append(TimedEdge(t - 1, ids[c], names[frm], names[site]))
         if site not in seen:
             seen.add(site)
-            visited.append(site)
+            visited.append(names[site])
         if len(steps) >= move_limit:
             limit_hit = True
             break

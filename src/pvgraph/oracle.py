@@ -32,10 +32,9 @@ def min_moves(
     start = routeset.carrier(start_carrier)
     n = routeset.n
     L = math.lcm(*(c.route.period for c in routeset.carriers))
-    idx = routeset.site_index
-    routes = [tuple(idx[s] for s in c.route.sites) for c in routeset.carriers]
+    routes = routeset.schedule.routes
     full = (1 << n) - 1
-    site = idx[start.route.at(0)]
+    site = routeset.site_index[start.route.at(0)]
     mask = 1 << site
     if mask == full:
         return 0

@@ -47,6 +47,12 @@ def test_route_domain_and_period():
     assert r.domain == {"a", "b", "c"}
 
 
+@pytest.mark.parametrize("empty", [(), [], (s for s in [])], ids=["tuple", "list", "generator"])
+def test_empty_route_rejected(empty):
+    with pytest.raises(ValueError, match="at least one site"):
+        Route(empty)
+
+
 def test_carriers_at_collects_colocated():
     rs = rs_of(["a", "b"], ["a", "c"], ["x", "c"])
     assert carriers_at(rs, 0, "a") == {"c0", "c1"}
@@ -183,6 +189,15 @@ def test_meeting_graph_matches_joint_period_scan(data):
         assert mg.has_edge(a, b) == mg.has_edge(b, a) == bool(ws)
         assert mg.witnesses(a, b) == mg.witnesses(b, a) == ws
     assert is_feasible(rs) == exact_feasible(rs)
+    # the schedule: integer routes, and per phase the carriers a scan finds there
+    sched = rs.schedule
+    assert [tuple(rs.sites[x] for x in r) for r in sched.routes] == [c.route.sites for c in rs.carriers]
+    for c, a in enumerate(ids):
+        p = rs.carrier(a).route.period
+        phases = {b: {w.phase % p for w in scanned_witnesses(rs, a, b)} for b in ids if b != a}
+        assert sched.company[c] == tuple(
+            tuple(d for d, b in enumerate(ids) if b != a and i in phases[b]) for i in range(p)
+        )
 
 
 def test_feasibility_past_a_joint_period_of_2_to_the_32():

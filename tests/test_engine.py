@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from pvgraph import (
     RouteSet,
     Trace,
     TimedEdge,
+    carriers_at,
     default_move_limit,
     gen_random_feasible,
     is_homogeneous,
@@ -44,6 +46,45 @@ class Scripted:
     def decide(self, obs: Observation):
         self.seen.append(obs)
         return self.actions.pop(0) if self.actions else HALT
+
+
+class RandomRider:
+    """Boards a drawn member of each arrival set for `moves` moves, then halts."""
+
+    def __init__(self, rng, moves):
+        self.rng = rng
+        self.left = moves
+        self.seen = []
+
+    def decide(self, obs: Observation):
+        self.seen.append(obs)
+        if self.left == 0:
+            return HALT
+        self.left -= 1
+        return Ride(self.rng.choice(sorted(obs.arriving_carriers)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_arrivals_match_the_reference_scan(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    routes = [
+        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12), label=f"c{i}")
+        for i in range(k)
+    ]
+    mode = data.draw(st.sampled_from([IDS, ANONYMOUS]), label="mode")
+    rs = rs_of(*[[f"s{x}" for x in r] for r in routes], mode=mode)
+    moves = math.lcm(*map(len, routes)) + 3  # every phase pairing, then some
+    rider = RandomRider(data.draw(st.randoms(use_true_random=False)), moves)
+    start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
+    tr = run(rs, rider, start, move_limit=moves + 1)
+    assert tr.halted and tr.moves == moves
+    assert replay_check(rs, tr) == (True, None)
+    for obs in rider.seen:
+        site = rs.carrier(obs.current_carrier).route.at(obs.time)
+        assert obs.arriving_carriers == carriers_at(rs, obs.time, site)
+        assert obs.site_identity == (site if mode == IDS else None)
 
 
 def test_first_observation_is_time_zero_with_arrivals():

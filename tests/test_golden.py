@@ -1,17 +1,20 @@
-"""Golden outputs: instance bytes, `pvg bench` tables and audit reports.
+"""Golden outputs: instance bytes, `pvg bench` tables, audit reports and traces.
 
-Every expected value here was recorded from the package before the family
-table replaced the per-family dispatch; a refactor must reproduce them
-byte for byte.
+Every expected value here was recorded from the package before the refactor
+it guards: the family table (instances, bench tables, audit reports), the
+generators that slice site lists (corner instances) and the engine's integer
+schedule (traces). A refactor must reproduce them byte for byte.
 """
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from pvgraph import FAMILIES, audit, dumps, make_instance
+from pvgraph import ANONYMOUS, FAMILIES, RouteSet, audit, dumps, make_instance, trace_to_csv
 from pvgraph.cli import main
+from pvgraph.oracle import race
 
 #: Several legal points per family, in the order they are hashed.
 GRID = [
@@ -136,3 +139,46 @@ AUDITS = {
 @pytest.mark.parametrize("point", sorted(AUDITS))
 def test_audit_reports_are_byte_identical(point):
     assert audit(make_instance(*point)).to_json() == AUDITS[point]
+
+
+#: Default hitch and guess runs (`race`) whose CSV traces are pinned: each
+#: family's smallest legal point, ten random systems, and an anonymous thm7
+#: copy (hitch only). Recorded before the engine read the integer schedule.
+TRACE_POINTS = {
+    **{name: [(name, *fam.smallest)] for name, fam in FAMILIES.items() if fam.smallest},
+    "random": list(_random_points())[:10],
+}
+
+
+def _traces_sha256(instances) -> str:
+    h = hashlib.sha256()
+    for inst in instances:
+        for name, trace in race(inst.routeset, inst.start).items():
+            h.update(f"{name} {inst.params}\n".encode())
+            h.update(trace_to_csv(trace).encode())
+    return h.hexdigest()
+
+
+TRACES_SHA256 = {
+    "anonymous thm7": "a080f5d32c7edf5ab48e1308fb407fd35238ad3378e6f4e0523400e89d23ae9c",
+    "random": "89ce12c41ed08f85008ec107db49fb2d23faf67ea91b3122b8203ec7e8815d52",
+    "sihe": "79d5b3cf8102979315e1248dea6b2e6de90780cb6c91585cad9e5f197b81b8c7",
+    "siho": "5dd4ba93cebfdcb92ff0df1ed2baf0ad4abaa62ccac45e5b49fb71f71e322d7e",
+    "thm3": "50cc5f231b76fffe42870a628ea8f1ea5b0dc3b5ea8d1774f89cec36e024ff4f",
+    "thm4": "8851f8b4a232fa485b6dbd295b3ff58a594bbf846427745c85c2eef168efe412",
+    "thm7": "b5cc081532887b86bf0d95c1ea96da4715956a704248106519d3b7136c3d973f",
+    "thm8": "799a818dabd8173700ea7a00bd424bcdc19f50dbe4f206199ce436428b1099b3",
+}
+
+
+@pytest.mark.parametrize("family", sorted(TRACE_POINTS))
+def test_traces_are_byte_identical(family):
+    instances = [make_instance(*point) for point in TRACE_POINTS[family]]
+    assert _traces_sha256(instances) == TRACES_SHA256[family]
+
+
+def test_anonymous_traces_are_byte_identical():
+    inst = make_instance("thm7", 20, 5)
+    rs = inst.routeset
+    anonymous = replace(inst, routeset=RouteSet(rs.carriers, ANONYMOUS, rs.sites))
+    assert _traces_sha256([anonymous]) == TRACES_SHA256["anonymous thm7"]
