@@ -56,7 +56,7 @@ class Carrier:
     route: Route
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedEdge:
     """One move: `carrier` leaves `from_site` at `time`, arriving at `to_site`."""
 

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Protocol
+from itertools import islice
+from typing import Iterator, NamedTuple, Protocol
 
 from .core import IDS, RouteSet, TimedEdge, _walk_fault
 from .errors import IllegalAction
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """What the agent knows at one instant, before choosing its action."""
 
     time: int
@@ -25,8 +25,7 @@ class Observation:
     site_identity: str | None  # None when the system hides site names
 
 
-@dataclass(frozen=True)
-class Ride:
+class Ride(NamedTuple):
     carrier: str
 
 
@@ -97,6 +96,7 @@ def run(
         raise ValueError("move_limit must be positive")
     routeset.carrier(start_carrier)  # an unknown start is a ParameterViolation
     routes, company = routeset.schedule.routes, routeset.schedule.company
+    periods = [len(r) for r in routes]
     ids = [c.id for c in routeset.carriers]
     index = {cid: c for c, cid in enumerate(ids)}
     alone = [frozenset((cid,)) for cid in ids]  # the arrival set whenever c has no company
@@ -112,19 +112,20 @@ def run(
     halted = False
     limit_hit = False
     while True:
-        mates = company[c][t % len(routes[c])]
+        mates = company[c][t % periods[c]]
         if mates:
             arriving = frozenset(
-                [ids[c], *(ids[d] for d in mates if routes[d][t % len(routes[d])] == site)]
+                [ids[c], *(ids[d] for d in mates if routes[d][t % periods[d]] == site)]
             )
         else:
             arriving = alone[c]
-        obs = Observation(t, ids[c], arriving, names[site] if expose_sites else None)
-        action = strategy.decide(obs)
-        if isinstance(action, Halt):
-            halted = True
-            break
-        if not isinstance(action, Ride):
+        action = strategy.decide(
+            Observation(t, ids[c], arriving, names[site] if expose_sites else None)
+        )
+        if not isinstance(action, Ride):  # the common case tested first: a ride
+            if isinstance(action, Halt):
+                halted = True
+                break
             raise IllegalAction(f"strategy returned {action!r}")
         if action.carrier not in arriving:
             raise IllegalAction(
@@ -132,7 +133,7 @@ def run(
             )
         c = index[action.carrier]
         t += 1
-        frm, site = site, routes[c][t % len(routes[c])]
+        frm, site = site, routes[c][t % periods[c]]
         steps.append(TimedEdge(t - 1, ids[c], names[frm], names[site]))
         if site not in seen:
             seen.add(site)
@@ -156,17 +157,27 @@ def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
 
 
 CSV_HEADER = "step,time,carrier,from,to,new_site"
+CSV_BLOCK = 4096  # rows joined at a time
 
 
-def trace_to_csv(trace: Trace) -> str:
-    """One row per move; new_site flags first arrivals."""
-    rows = [CSV_HEADER]
+def _csv_rows(trace: Trace) -> Iterator[str]:
+    yield CSV_HEADER + "\n"
     seen = {trace.visited_sites[0]} if trace.visited_sites else set()
     for i, s in enumerate(trace.steps):
         new = 0 if s.to_site in seen else 1
         seen.add(s.to_site)
-        rows.append(f"{i},{s.time},{s.carrier},{s.from_site},{s.to_site},{new}")
-    return "\n".join(rows) + "\n"
+        yield f"{i},{s.time},{s.carrier},{s.from_site},{s.to_site},{new}\n"
+
+
+def trace_to_csv(trace: Trace) -> str:
+    """One row per move; new_site flags first arrivals.
+
+    Rows are joined a block at a time, so the peak stays near twice the CSV's
+    size; a list of every row string would hold over four times it.
+    """
+    rows = _csv_rows(trace)
+    # no row is empty, so the first empty block means the rows ran out
+    return "".join(iter(lambda: "".join(islice(rows, CSV_BLOCK)), ""))
 
 
 def summary_record(

@@ -114,7 +114,13 @@ def gen_thm3(n: int, k: int, p: int) -> RouteSet:
 
 
 def thm3_bound(n: int, k: int, p: int) -> int:
-    return (k - 2) * (p + 1) + n // (k - 1)
+    """The paper's (k-2)(p+1) + floor(n/(k-1)), less one when n = p(k-1).
+
+    Every group is then full, so the hub has already shown the last spoke's
+    anchor and the last group costs p-1 moves, not p (an erratum).
+    """
+    bound = (k - 2) * (p + 1) + n // (k - 1)
+    return bound - 1 if n == p * (k - 1) else bound
 
 
 def gen_thm4(n: int, k: int, p: int) -> RouteSet:

@@ -66,10 +66,10 @@ class HitchARide:
         if mode == "visit":
             # record first meetings; seeks deliberately don't, so every
             # pending carrier is charged to exactly one visit (tree edges)
-            for other in sorted(obs.arriving_carriers):
-                if other not in self._visited and other not in self._pending:
-                    self._pending.add(other)
-                    self._nbrs[c].add(other)
+            met = obs.arriving_carriers.difference(self._visited, self._pending)
+            if met:
+                self._pending |= met
+                self._nbrs[c] |= met
             if remaining > 0:
                 self._state = ("visit", c, remaining - 1)
                 return Ride(c)
@@ -162,9 +162,9 @@ class GuessingRide:
         while True:
             mode, c, spent = self._state
             if mode == "explore":
-                fresh = sorted(obs.arriving_carriers - self._known)
+                fresh = obs.arriving_carriers - self._known
                 if fresh:
-                    child = fresh[0]
+                    child = min(fresh)
                     self._known.add(child)  # only the boarded one is recorded
                     self._parent[child] = c
                     self._state = ("explore", child, 1)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from pvgraph import (
     default_move_limit,
     gen_random_feasible,
     is_homogeneous,
+    make_instance,
     replay_check,
     run,
     summary_line,
@@ -140,6 +143,49 @@ def test_non_action_return_is_illegal():
     rs = rs_of(["a", "b"])
     with pytest.raises(IllegalAction):
         run(rs, Scripted(["sideways"]), "c0")
+    with pytest.raises(IllegalAction):
+        run(rs, Scripted([("c0",)]), "c0")  # equal to Ride("c0"), but not a Ride
+
+
+def _records():
+    """One of each per-move record, and a trace, freshly built."""
+    step = TimedEdge(0, "c0", "a", "b")
+    return [
+        Observation(0, "c0", frozenset({"c0", "c1"}), "a"),
+        Ride("c1"),
+        step,
+        Trace("c0", (step,), True, ("a", "b")),
+    ]
+
+
+def test_records_are_immutable():
+    for record in _records():
+        names = record._fields if isinstance(record, tuple) else [
+            f.name for f in dataclasses.fields(record)
+        ]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+
+def test_records_with_equal_fields_are_equal_and_hash_alike():
+    for a, b in zip(_records(), _records()):
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert isinstance(Ride("c1"), Ride) and Ride("c1") == ("c1",)
+    assert Ride("c1") != Ride("c2") and HALT != Ride("c1")
+
+
+def test_steps_and_traces_take_dataclass_replace():
+    step = TimedEdge(0, "c0", "a", "b")
+    assert dataclasses.replace(step, to_site="c") == TimedEdge(0, "c0", "a", "c")
+    tr = Trace("c0", (step,), True, ("a", "b"))
+    assert dataclasses.replace(tr, halted=False) == Trace("c0", (step,), False, ("a", "b"))
+    with pytest.raises(ValueError):  # replace re-runs the step numbering check
+        dataclasses.replace(tr, steps=(dataclasses.replace(step, time=1),))
+
+
+def test_steps_are_slotted():
+    assert not hasattr(TimedEdge(0, "c0", "a", "b"), "__dict__")
 
 
 def test_move_limit_tags_partial_trace():
@@ -191,6 +237,21 @@ def test_csv_golden():
         "1,1,c1,c,a,0\n"
         "2,2,c1,a,c,0\n"
     )
+
+
+def test_csv_is_built_without_a_list_of_rows():
+    inst = make_instance("sihe", 40, 4)
+    rs = inst.routeset
+    tr = run(rs, HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs)), inst.start)
+    assert tr.moves > 100_000
+    tracemalloc.start()
+    try:
+        csv = trace_to_csv(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the finished string plus its blocks; one joined list of every row reads ~4.5x
+    assert peak < 3 * len(csv), (peak, len(csv))
 
 
 def test_summary_record_key_order_and_values():

@@ -96,6 +96,28 @@ def test_thm3_shape():
     assert set(hub.sites) == {"x0", "x1", "x2"}
 
 
+def test_thm3_bound_holds_at_every_legal_point():
+    """Every legal point with n <= 20 and p <= n+2, no exceptions.
+
+    Where n = p(k-1) every group is full and the corrected bound is the
+    optimum itself; the paper's formula is one above it there.
+    """
+    full = 0
+    for n in range(9, 21):
+        for k in range(3, n // 3 + 1):
+            for p in range(k - 1, n + 3):
+                try:
+                    inst = make_instance("thm3", n, k, p)
+                except ParameterViolation:
+                    continue
+                opt = min_moves(inst.routeset, inst.start)
+                assert inst.bound <= opt, (n, k, p, inst.bound, opt)
+                if n == p * (k - 1):
+                    full += 1
+                    assert inst.bound == opt == (k - 2) * (p + 1) + p - 1, (n, k, p)
+    assert full == 11
+
+
 def test_thm4_shape():
     rs = make_instance("thm4", 9, 3, 5).routeset
     hub = rs.carrier("c0").route
