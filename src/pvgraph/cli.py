@@ -53,7 +53,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,7 +151,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         strat = GuessingRide(rs.n, g0=args.g0)
     trace = run(rs, strat, start, args.move_limit)
     if args.out:
-        Path(args.out).write_text(trace_to_csv(trace))
+        _write_text(args.out, trace_to_csv(trace))
     print(summary_line(args.infile, args.strategy, rs, trace))
     if trace.move_limit_exceeded:
         return 3
@@ -159,7 +159,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    text = Path(args.infile).read_text()
+    text = fileformat.read_text(args.infile)
     rs = fileformat.loads(text)
     start = args.start or rs.carriers[0].id
     inst = Instance(

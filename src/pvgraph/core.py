@@ -12,6 +12,7 @@ mutate their inputs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -115,7 +116,10 @@ class RouteSet:
         sites: Sequence[str] = (),
     ) -> "RouteSet":
         items = routes.items() if isinstance(routes, Mapping) else routes
-        carriers = tuple(Carrier(cid, Route(tuple(r))) for cid, r in items)
+        # a tuple built from a list is allocated at its exact size; one built
+        # from a generator is over-allocated and shrunk, which leaves the
+        # free lists of other tuple sizes filling between full collections
+        carriers = tuple([Carrier(cid, Route(tuple(r))) for cid, r in items])
         return cls(carriers, mode, tuple(sites))
 
     @property
@@ -203,17 +207,11 @@ def _build_schedule(routeset: RouteSet) -> Schedule:
     return Schedule(routes, tuple(company))
 
 
-def _directed_edges(route: Route) -> list[tuple[str, str]]:
-    s = route.sites
-    return list(zip(s, s[1:] + s[:1]))
-
-
 def is_simple(route: Route) -> bool:
     """No self-loops and no directed edge traversed at two distinct phases."""
-    edges = _directed_edges(route)
-    if any(a == b for a, b in edges):
-        return False
-    return len(set(edges)) == len(edges)
+    s = route.sites
+    nxt = s[1:] + s[:1]
+    return not any(map(operator.eq, s, nxt)) and len(set(zip(s, nxt))) == len(s)
 
 
 def is_irredundant(route: Route) -> bool:
@@ -222,20 +220,20 @@ def is_irredundant(route: Route) -> bool:
     Rings traverse each undirected edge once; tree tours traverse each
     undirected edge exactly once per direction (period 2(d-1) over d sites).
     Either way no undirected edge is repeated in the same direction, which
-    caps the period at 2(n-1).
+    caps the period at 2(n-1). A simple route whose edge set equals its
+    reverse pairs its p directed edges into p/2 undirected ones, so at
+    p = 2(d-1) those are the d-1 edges of a tree.
     """
     if not is_simple(route):
         return False
+    s = route.sites
     d = len(route.domain)
-    p = route.period
-    edges = set(_directed_edges(route))
-    undirected = {frozenset(e) for e in edges}
+    p = len(s)
     if p == d:
         ok = True  # simple cycle: every site exactly once
-    elif p == 2 * (d - 1) and len(undirected) == d - 1 and all(
-        (b, a) in edges for a, b in edges
-    ):
-        ok = True  # closed tree walk: each edge once per direction
+    elif p == 2 * (d - 1):
+        nxt = s[1:] + s[:1]
+        ok = set(zip(s, nxt)) == set(zip(nxt, s))  # closed tree walk: each edge once per direction
     else:
         ok = False
     assert not ok or p <= 2 * (d - 1), "irredundant period bound violated"
@@ -264,7 +262,7 @@ class MeetingGraph:
     """
 
     def __init__(self, routeset: RouteSet, edges: Iterable[tuple[str, str]]):
-        self.nodes = tuple(c.id for c in routeset.carriers)
+        self.nodes = tuple([c.id for c in routeset.carriers])  # exact size, as in from_routes
         self._routeset = routeset
         self._order = {c: i for i, c in enumerate(self.nodes)}
         self._edges = tuple(edges)

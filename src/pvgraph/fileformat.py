@@ -26,70 +26,74 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 
 
 def loads(text: str) -> RouteSet:
-    """Parse the canonical format; errors carry 1-based line and column."""
+    """Parse the canonical format; errors carry 1-based line and column.
+
+    Lines are split with `str.split()`, which splits on exactly the
+    characters `_TOKEN` does; a token's column is worked out only when an
+    error names it.
+    """
     lines = text.split("\n")
-    content = [
-        (i + 1, _tokens(raw))
-        for i, raw in enumerate(lines)
-        if raw.strip() and not raw.lstrip().startswith("#")
-    ]
+    content = []
+    for i, raw in enumerate(lines):
+        toks = raw.split()
+        if toks and not toks[0].startswith("#"):
+            content.append((i + 1, toks))
     if not content:
         raise ParseError("empty file", 1)
 
-    def expect(index: int, what: str) -> tuple[int, list[tuple[str, int]]]:
+    def expect(index: int, what: str) -> tuple[int, list[str]]:
         if index >= len(content):
             raise ParseError(f"missing {what}", len(lines))
         return content[index]
 
+    def fail(message: str, ln: int, index: int) -> ParseError:
+        """The error naming token `index` of line `ln`, at that token's column."""
+        return ParseError(message, ln, _tokens(lines[ln - 1])[index][1])
+
     ln, toks = expect(0, "header line 'pvg 1'")
-    if [t for t, _ in toks] != ["pvg", "1"]:
-        raise ParseError("expected header 'pvg 1'", ln, toks[0][1])
+    if toks != ["pvg", "1"]:
+        raise fail("expected header 'pvg 1'", ln, 0)
 
     ln, toks = expect(1, "mode line")
-    if len(toks) != 2 or toks[0][0] != "mode":
-        raise ParseError("expected 'mode anonymous' or 'mode ids'", ln, toks[0][1])
-    mode = toks[1][0]
+    if len(toks) != 2 or toks[0] != "mode":
+        raise fail("expected 'mode anonymous' or 'mode ids'", ln, 0)
+    mode = toks[1]
     if mode not in (ANONYMOUS, IDS):
-        raise ParseError(f"unknown mode {mode!r}", ln, toks[1][1])
+        raise fail(f"unknown mode {mode!r}", ln, 1)
 
     ln, toks = expect(2, "sites line")
-    if len(toks) < 2 or toks[0][0] != "sites":
-        raise ParseError("expected 'sites <n> <names...>'", ln, toks[0][1])
+    if len(toks) < 2 or toks[0] != "sites":
+        raise fail("expected 'sites <n> <names...>'", ln, 0)
     try:
-        n = int(toks[1][0])
+        n = int(toks[1])
     except ValueError:
-        raise ParseError(f"site count {toks[1][0]!r} is not an integer", ln, toks[1][1]) from None
+        raise fail(f"site count {toks[1]!r} is not an integer", ln, 1) from None
     if n < 1:
-        raise ParseError("site count must be positive", ln, toks[1][1])
-    names = toks[2:]
-    if len(names) != n:
-        raise ParseError(f"expected {n} site names, found {len(names)}", ln,
-                         names[0][1] if names else toks[1][1])
-    sites = []
-    seen = set()
-    for name, col in names:
-        if name in seen:
-            raise ParseError(f"duplicate site {name!r}", ln, col)
-        seen.add(name)
-        sites.append(name)
+        raise fail("site count must be positive", ln, 1)
+    sites = toks[2:]
+    if len(sites) != n:
+        raise fail(f"expected {n} site names, found {len(sites)}", ln, 2 if sites else 1)
+    seen = set(sites)
+    if len(seen) != n:
+        first = {}  # name -> index of its first appearance
+        i = next(i for i, name in enumerate(sites) if first.setdefault(name, i) != i)
+        raise fail(f"duplicate site {sites[i]!r}", ln, i + 2)
 
     carriers = []
     cids = set()
     for ln, toks in content[3:]:
-        if toks[0][0] != "carrier":
-            raise ParseError(f"expected 'carrier', found {toks[0][0]!r}", ln, toks[0][1])
-        if len(toks) < 4 or toks[2][0] != ":":
-            raise ParseError("expected 'carrier <id> : <site>...'", ln,
-                             toks[2][1] if len(toks) > 2 else toks[-1][1])
-        cid, ccol = toks[1]
+        if toks[0] != "carrier":
+            raise fail(f"expected 'carrier', found {toks[0]!r}", ln, 0)
+        if len(toks) < 4 or toks[2] != ":":
+            raise fail("expected 'carrier <id> : <site>...'", ln, min(2, len(toks) - 1))
+        cid = toks[1]
         if cid in cids:
-            raise ParseError(f"duplicate carrier {cid!r}", ln, ccol)
+            raise fail(f"duplicate carrier {cid!r}", ln, 1)
         cids.add(cid)
-        route = []
-        for site, col in toks[3:]:
-            if site not in seen:
-                raise ParseError(f"unknown site {site!r}", ln, col)
-            route.append(site)
+        route = toks[3:]
+        if not seen.issuperset(route):
+            i = next(i for i, site in enumerate(route) if site not in seen)
+            raise fail(f"unknown site {route[i]!r}", ln, i + 3)
         carriers.append(Carrier(cid, Route(tuple(route))))
     if not carriers:
         raise ParseError("no carrier lines", content[-1][0])
@@ -108,8 +112,27 @@ def dumps(routeset: RouteSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str | Path) -> str:
+    """A file's text as UTF-8, with CRLF and CR read as LF, as `Path.read_text` does.
+
+    Bytes that are not UTF-8 are a ParseError at the line and column of the first.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = _universal_newlines(data[:exc.start].decode("utf-8"))
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8",
+                         head.count("\n") + 1, len(head) - head.rfind("\n")) from None
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load(path: str | Path) -> RouteSet:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    return loads(read_text(path))
 
 
 def dump(routeset: RouteSet, path: str | Path) -> None:

@@ -438,7 +438,8 @@ def make_instance(
         args.append(fam.defaults[name](n) if given[name] is None else given[name])
     rs = fam.generate(*args)
     bound = None if fam.bound is None else fam.bound(*args)
-    return Instance(fam.long_name, tuple(zip(fam.params, args)), rs, bound, fam.start(k))
+    params = tuple(list(zip(fam.params, args)))  # exact size, as in RouteSet.from_routes
+    return Instance(fam.long_name, params, rs, bound, fam.start(k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pvgraph
 from pvgraph import loads
 from pvgraph.cli import main
 
@@ -280,3 +285,32 @@ def test_forge_unknown_strategy_exits_2(capsys):
 def test_missing_input_file_exits_2(capsys):
     code, _, _ = run_cli(capsys, "validate", "--in", "no/such/file.pvg")
     assert code == 2
+
+
+def run_in_c_locale(*argv):
+    """`pvg` in a fresh interpreter whose default encoding is ASCII."""
+    src = str(Path(pvgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    code = "import sys; from pvgraph.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, encoding="utf-8", timeout=60)
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "u.pvg"
+    path.write_bytes("pvg 1\nmode ids\nsites 2 é b\ncarrier c : é b\n# bound 1\n".encode())
+    done = run_in_c_locale("oracle", "--in", str(path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["oracle_optimum"] == 1
+    out = tmp_path / "walk.csv"
+    done = run_in_c_locale("explore", "--in", str(path), "--strategy", "hitch", "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    assert "é" in out.read_text(encoding="utf-8")
+
+
+def test_undecodable_input_is_a_parse_error_at_its_line(tmp_path):
+    path = tmp_path / "bad.pvg"
+    path.write_bytes(b"pvg 1\r\nmode ids\nsites 2 a b\ncarrier c : a \xff b\n")
+    done = run_in_c_locale("validate", "--in", str(path))
+    assert done.returncode == 5
+    assert done.stderr.strip() == "line 4, column 15: byte 0xff is not valid UTF-8"

@@ -133,6 +133,64 @@ def test_irredundant_period_never_exceeds_tree_tour():
             assert r.period <= 2 * (len(r.domain) - 1)
 
 
+def _reference_is_simple(route: Route) -> bool:
+    """The validators as first written, edge lists and all: the brute-force reference."""
+    s = route.sites
+    edges = list(zip(s, s[1:] + s[:1]))
+    if any(a == b for a, b in edges):
+        return False
+    return len(set(edges)) == len(edges)
+
+
+def _reference_is_irredundant(route: Route) -> bool:
+    if not _reference_is_simple(route):
+        return False
+    d = len(route.domain)
+    p = route.period
+    s = route.sites
+    edges = set(zip(s, s[1:] + s[:1]))
+    undirected = {frozenset(e) for e in edges}
+    if p == d:
+        return True
+    return p == 2 * (d - 1) and len(undirected) == d - 1 and all((b, a) in edges for a, b in edges)
+
+
+@st.composite
+def tree_tours(draw):
+    """A depth-first tour of a random tree on up to 6 sites, rotated and maybe swapped once."""
+    d = draw(st.integers(1, 6))
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, d)]
+    tour = []
+
+    def visit(v):
+        tour.append("abcdef"[v])
+        for child in range(d):
+            if parent[child] == v:
+                visit(child)
+                tour.append("abcdef"[v])
+
+    visit(0)
+    tour = tour[:-1] or tour
+    shift = draw(st.integers(0, len(tour) - 1))
+    tour = tour[shift:] + tour[:shift]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(tour) - 1)), draw(st.integers(0, len(tour) - 1))
+        tour[i], tour[j] = tour[j], tour[i]
+    return tour
+
+
+@settings(max_examples=500, deadline=None)
+@given(sites=st.one_of(
+    st.lists(st.sampled_from("abcdef"), min_size=1, max_size=14),
+    st.permutations("abcdef").flatmap(lambda ring: st.integers(1, 6).map(lambda d: ring[:d])),
+    tree_tours(),
+))
+def test_route_validators_match_the_reference(sites):
+    r = Route(tuple(sites))
+    assert is_simple(r) == _reference_is_simple(r)
+    assert is_irredundant(r) == _reference_is_irredundant(r)
+
+
 def test_homogeneity():
     assert is_homogeneous(rs_of(["a", "b"], ["b", "a"]))
     assert not is_homogeneous(rs_of(["a", "b"], ["a", "b", "c"]))

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import ast
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvgraph import IDS, ParseError, RouteSet, dumps, gen_random_feasible, loads
+from pvgraph.errors import UnreachableSite
 from pvgraph.fileformat import read_bound_comment
 
 GOLDEN = """pvg 1
@@ -135,3 +139,55 @@ def test_every_constructible_system_round_trips(ids, names):
     except ValueError:
         return
     assert loads(dumps(rs)) == rs
+
+
+#: Messages that quote an input token, and the quoted token.
+QUOTED = re.compile(
+    r"(?:unknown mode|site count|duplicate site|found|duplicate carrier|unknown site) "
+    r"('(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")"
+)
+SKELETON = [["pvg", "1"], ["mode", "ids"], ["sites", "3", "a", "b", "c"],
+            ["carrier", "c0", ":", "a", "b"], ["carrier", "c1", ":", "c", "a"]]
+WORDS = ["pvg", "1", "3", "-1", "x", "mode", "ids", "anonymous", "sites", "carrier",
+         ":", "a", "b", "c", "c0", "c1", "#", "é", "'", '"', "a'b\"c"]
+SEPARATORS = [" ", "  ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
+@st.composite
+def edited_files(draw):
+    """The skeleton with tokens replaced, inserted or dropped, joined by mixed whitespace."""
+    lines = [list(toks) for toks in SKELETON]
+    for _ in range(draw(st.integers(0, 4))):
+        toks = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(toks)))
+        op = draw(st.sampled_from(["replace", "insert", "drop"]))
+        if op == "insert" or not toks[at:]:
+            toks.insert(at, draw(st.sampled_from(WORDS)))
+        elif op == "replace":
+            toks[at] = draw(st.sampled_from(WORDS))
+        else:
+            del toks[at]
+    out = []
+    for toks in lines:
+        seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(toks) + 1, max_size=len(toks) + 1))
+        out.append(seps[0] + "".join(t + s for t, s in zip(toks, seps[1:])))
+    return "\n".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=edited_files())
+def test_a_quoted_token_is_where_the_error_points(text):
+    try:
+        loads(text)
+    except ParseError as exc:
+        quoted = QUOTED.search(str(exc))
+        if quoted is None:
+            return
+        token = ast.literal_eval(quoted.group(1))
+        line = text.split("\n")[exc.line - 1]
+        col = exc.column - 1
+        assert line[col:col + len(token)] == token
+        assert col == 0 or line[col - 1].isspace()
+        assert col + len(token) == len(line) or line[col + len(token)].isspace()
+    except UnreachableSite:
+        pass

@@ -1,19 +1,24 @@
-"""Golden outputs: instance bytes, `pvg bench` tables, audit reports and traces.
+"""Golden outputs: instance bytes, `pvg bench` tables, audit reports, traces
+and parse outcomes.
 
 Every expected value here was recorded from the package before the refactor
 it guards: the family table (instances, bench tables, audit reports), the
-generators that slice site lists (corner instances) and the engine's integer
-schedule (traces). A refactor must reproduce them byte for byte.
+generators that slice site lists (corner instances), the engine's integer
+schedule (traces) and the parser that splits lines with `str.split` (the
+outcomes of mutated files: each system, or each error with its line and
+column). A refactor must reproduce them byte for byte.
 """
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import replace
 
 import pytest
 
-from pvgraph import ANONYMOUS, FAMILIES, RouteSet, audit, dumps, make_instance, trace_to_csv
+from pvgraph import ANONYMOUS, FAMILIES, RouteSet, audit, dumps, loads, make_instance, trace_to_csv
 from pvgraph.cli import main
+from pvgraph.errors import PVGraphError
 from pvgraph.oracle import race
 
 #: Several legal points per family, in the order they are hashed.
@@ -182,3 +187,56 @@ def test_anonymous_traces_are_byte_identical():
     rs = inst.routeset
     anonymous = replace(inst, routeset=RouteSet(rs.carriers, ANONYMOUS, rs.sites))
     assert _traces_sha256([anonymous]) == TRACES_SHA256["anonymous thm7"]
+
+
+#: Family files whose seeded mutations pin the parser's outcomes, and the
+#: material a mutation inserts: keywords, numbers, comment and line breaks,
+#: and whitespace other than the space (tab, CR, VT, FS, NEL, NBSP).
+PARSE_SOURCES = [("thm3", 9, 3, 5), ("thm4", 9, 3, 5), ("siho", 8, 3), ("thm7", 8, 3), ("thm8", 7, 3)]
+PARSE_POOL = [
+    "pvg", "1", "2", "0", "-3", "07", "x", "mode", "ids", "anonymous", "sites", "carrier",
+    ":", "#", "# bound 3", "\n", "\n\n", "é", "\t", "\r", "\x0b", "\x1c", "\x85", "\xa0", " ",
+]
+PARSE_MUTATIONS = 2000
+PARSE_SHA256 = "1df41666be1835f9f64acaf98f914ba09fa79e18e791c1ac58c1d86d52808a55"
+
+
+def _mutate(text: str, rng) -> str:
+    """One to three edits: insert a token, delete a span, swap or copy a line."""
+    names = text.split()
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["insert", "delete", "swap", "copy"])
+        if kind == "insert":
+            tok = rng.choice([*PARSE_POOL, *names])
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(["", " "]) + tok + rng.choice(["", " "]) + text[at:]
+        elif kind == "delete" and text:
+            at = rng.randrange(len(text))
+            text = text[:at] + text[at + rng.randint(1, rng.choice([12, 120])):]
+        else:
+            lines = text.split("\n")
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            if kind == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines.insert(j, lines[i])
+            text = "\n".join(lines)
+    return text
+
+
+def _parse_outcome(text: str) -> str:
+    """The dumped system, or the error's type and message (line and column included)."""
+    try:
+        return dumps(loads(text))
+    except (PVGraphError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_parse_outcomes_of_mutated_files_are_identical():
+    sources = [dumps(make_instance(*point).routeset) for point in PARSE_SOURCES]
+    h = hashlib.sha256()
+    for seed in range(PARSE_MUTATIONS):
+        rng = random.Random(seed)
+        h.update(_parse_outcome(_mutate(sources[seed % len(sources)], rng)).encode())
+        h.update(b"\0")
+    assert h.hexdigest() == PARSE_SHA256
