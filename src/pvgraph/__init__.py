@@ -30,6 +30,7 @@ from .engine import (
     Ride,
     Strategy,
     Trace,
+    Walk,
     default_move_limit,
     replay_check,
     run,
@@ -73,7 +74,7 @@ __all__ = [
     "Carrier", "MeetingGraph", "Route", "RouteSet", "TimedEdge", "Witness",
     "build_meeting_graph", "carriers_at", "is_concrete_cover", "is_feasible",
     "is_homogeneous", "is_irredundant", "is_simple",
-    "Halt", "HALT", "Observation", "Ride", "Strategy", "Trace",
+    "Halt", "HALT", "Observation", "Ride", "Strategy", "Trace", "Walk",
     "default_move_limit", "replay_check", "run", "summary_line",
     "summary_record", "trace_to_csv",
     "PVGraphError", "IllegalAction", "InconsistentWalk", "NoCoprimePair",

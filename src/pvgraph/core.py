@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InconsistentWalk, ParameterViolation, UnreachableSite
@@ -369,24 +369,25 @@ def _walk_fault(routeset: RouteSet, walk: "Trace") -> tuple[int, str] | None:
     Step i must depart where the agent stands (step 0: the start carrier's
     site at t=0) and be the move its carrier makes from time i to i+1. An
     unknown start carrier faults step 0; an unknown step carrier, its step.
-    Step times are checked when the Trace is built.
+    Step times need no check: a trace's `Walk` times step i at i.
     """
     by_id = routeset.by_id
     if walk.start_carrier not in by_id:
         return 0, f"no start carrier {walk.start_carrier!r}"
     here = by_id[walk.start_carrier].route.sites[0]
-    for i, step in enumerate(walk.steps):
-        c = by_id.get(step.carrier)
+    steps = walk.steps
+    for i, cid, frm, to in zip(count(), steps.carriers, steps.froms, steps.tos):
+        c = by_id.get(cid)
         if c is None:
-            return i, f"step {i} rides unknown carrier {step.carrier!r}"
-        if step.from_site != here:
+            return i, f"step {i} rides unknown carrier {cid!r}"
+        if frm != here:
             # boarding a carrier that isn't standing where the agent is
-            return i, f"step {i} departs {step.from_site} but the agent stands on {here}"
+            return i, f"step {i} departs {frm} but the agent stands on {here}"
         sites = c.route.sites
-        if sites[i % len(sites)] != here or sites[(i + 1) % len(sites)] != step.to_site:
-            return i, (f"step {i}: carrier {step.carrier} does not activate "
-                       f"({step.from_site} -> {step.to_site}) at time {i}")
-        here = step.to_site
+        if sites[i % len(sites)] != here or sites[(i + 1) % len(sites)] != to:
+            return i, (f"step {i}: carrier {cid} does not activate "
+                       f"({frm} -> {to}) at time {i}")
+        here = to
     return None
 
 
@@ -402,4 +403,4 @@ def is_concrete_cover(routeset: RouteSet, walk: "Trace") -> bool:
     if fault is not None:
         raise InconsistentWalk(fault[1])
     here = routeset.carrier(walk.start_carrier).route.sites[0]
-    return {here, *(step.to_site for step in walk.steps)} == set(routeset.sites)
+    return {here, *walk.steps.tos} == set(routeset.sites)

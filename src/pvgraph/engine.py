@@ -8,9 +8,10 @@ way to wait at a site.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, NamedTuple, Protocol
+from itertools import count, islice
+from typing import Iterable, Iterator, NamedTuple, Protocol
 
 from .core import IDS, RouteSet, TimedEdge, _walk_fault
 from .errors import IllegalAction
@@ -46,20 +47,86 @@ class Strategy(Protocol):
     def decide(self, obs: Observation) -> Action: ...
 
 
+class Walk(Sequence):
+    """The moves of a walk, stored by column: step i is
+    `TimedEdge(i, carriers[i], froms[i], tos[i])`.
+
+    A long walk holds three tuples of names instead of one object per move;
+    the `TimedEdge`s are built only when the walk is indexed or iterated. It
+    compares equal to, and hashes like, the tuple of those `TimedEdge`s.
+    """
+
+    __slots__ = ("carriers", "froms", "tos")
+
+    def __init__(self, carriers: Iterable[str], froms: Iterable[str], tos: Iterable[str]):
+        carriers, froms, tos = tuple(carriers), tuple(froms), tuple(tos)
+        if not len(carriers) == len(froms) == len(tos):
+            raise ValueError("walk columns differ in length")
+        object.__setattr__(self, "carriers", carriers)
+        object.__setattr__(self, "froms", froms)
+        object.__setattr__(self, "tos", tos)
+
+    @classmethod
+    def of(cls, steps: Iterable[TimedEdge]) -> "Walk":
+        """The walk of `steps`, which must be timed 0, 1, 2, ..."""
+        if isinstance(steps, Walk):
+            return steps
+        steps = tuple(steps)
+        for i, s in enumerate(steps):
+            if s.time != i:
+                raise ValueError(f"step {i} timed {s.time}")
+        return cls(
+            [s.carrier for s in steps], [s.from_site for s in steps], [s.to_site for s in steps]
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Walk is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
+        return Walk, (self.carriers, self.froms, self.tos)
+
+    def __len__(self) -> int:
+        return len(self.tos)
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]  # a step number, or a range for a slice; IndexError past the ends
+        if isinstance(at, range):
+            return tuple(map(self.__getitem__, at))
+        return TimedEdge(at, self.carriers[at], self.froms[at], self.tos[at])
+
+    def __iter__(self) -> Iterator[TimedEdge]:
+        return map(TimedEdge, count(), self.carriers, self.froms, self.tos)
+
+    def __eq__(self, other):
+        if isinstance(other, Walk):
+            return (self.tos, self.carriers, self.froms) == (other.tos, other.carriers, other.froms)
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Walk.of({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class Trace:
-    """A finished (or cut-off) execution: the concrete walk plus bookkeeping."""
+    """A finished (or cut-off) execution: the concrete walk plus bookkeeping.
+
+    `steps` may be given as any sequence of `TimedEdge`s timed 0, 1, 2, ...;
+    it is stored as a `Walk`.
+    """
 
     start_carrier: str
-    steps: tuple[TimedEdge, ...]
+    steps: Walk
     halted: bool
     visited_sites: tuple[str, ...]  # first-visit order, start site included
     move_limit_exceeded: bool = False
 
     def __post_init__(self):
-        for i, s in enumerate(self.steps):
-            if s.time != i:
-                raise ValueError(f"step {i} timed {s.time}")
+        object.__setattr__(self, "steps", Walk.of(self.steps))
 
     @property
     def moves(self) -> int:
@@ -106,7 +173,8 @@ def run(
     c = index[start_carrier]
     t = 0
     site = routes[c][0]
-    steps: list[TimedEdge] = []
+    carriers: list[str] = []  # step i's carrier and arrival site
+    tos: list[str] = []
     visited = [names[site]]
     seen = {site}
     halted = False
@@ -133,15 +201,21 @@ def run(
             )
         c = index[action.carrier]
         t += 1
-        frm, site = site, routes[c][t % periods[c]]
-        steps.append(TimedEdge(t - 1, ids[c], names[frm], names[site]))
+        site = routes[c][t % periods[c]]
+        carriers.append(ids[c])
+        tos.append(names[site])
         if site not in seen:
             seen.add(site)
             visited.append(names[site])
-        if len(steps) >= move_limit:
+        if t >= move_limit:
             limit_hit = True
             break
-    return Trace(start_carrier, tuple(steps), halted, tuple(visited), limit_hit)
+    # step i departs where step i-1 arrived; freeing the list of arrivals
+    # before the departures are cut from them keeps the peak low
+    arrivals = tuple(tos)
+    del tos
+    froms = (visited[0],) + arrivals[:-1] if arrivals else ()
+    return Trace(start_carrier, Walk(carriers, froms, arrivals), halted, tuple(visited), limit_hit)
 
 
 def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
@@ -163,10 +237,11 @@ CSV_BLOCK = 4096  # rows joined at a time
 def _csv_rows(trace: Trace) -> Iterator[str]:
     yield CSV_HEADER + "\n"
     seen = {trace.visited_sites[0]} if trace.visited_sites else set()
-    for i, s in enumerate(trace.steps):
-        new = 0 if s.to_site in seen else 1
-        seen.add(s.to_site)
-        yield f"{i},{s.time},{s.carrier},{s.from_site},{s.to_site},{new}\n"
+    walk = trace.steps
+    for i, carrier, frm, to in zip(count(), walk.carriers, walk.froms, walk.tos):
+        new = 0 if to in seen else 1
+        seen.add(to)
+        yield f"{i},{i},{carrier},{frm},{to},{new}\n"
 
 
 def trace_to_csv(trace: Trace) -> str:

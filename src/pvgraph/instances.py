@@ -447,7 +447,7 @@ def make_instance(
 
 
 def _walk_nodes(rs: RouteSet, trace: Trace) -> list[str]:
-    return [rs.carrier(trace.start_carrier).route.sites[0]] + [s.to_site for s in trace.steps]
+    return [rs.carrier(trace.start_carrier).route.sites[0], *trace.steps.tos]
 
 
 def _halting_run(rs: RouteSet, strategy: Strategy, move_limit: int | None) -> Trace:

@@ -41,7 +41,7 @@ def test_generate_accepts_long_family_names(capsys):
 
 def test_generate_emit_bound(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "--family", "thm8", "--n", "13", "--k", "3", "--emit-bound")
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     assert text.rstrip().endswith("# bound 61")
 
 
@@ -83,7 +83,9 @@ def test_validate_reports_feasibility_past_a_joint_period_of_2_to_the_32(tmp_pat
     path = tmp_path / "wide.pvg"
     a = " ".join(["a", "b"] * 32768 + ["a"])  # period 65537
     b = " ".join(["a", "b"] * 32768)  # period 65536
-    path.write_text(f"pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : {a}\ncarrier c1 : {b}\n")
+    path.write_text(
+        f"pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : {a}\ncarrier c1 : {b}\n", encoding="utf-8"
+    )
     code, out, _ = run_cli(capsys, "validate", "--in", str(path))
     assert code == 0
     assert json.loads(out)["feasible"] is True
@@ -91,7 +93,7 @@ def test_validate_reports_feasibility_past_a_joint_period_of_2_to_the_32(tmp_pat
 
 def test_validate_parse_error_exits_5(tmp_path, capsys):
     bad = tmp_path / "bad.pvg"
-    bad.write_text("pvg 9\n")
+    bad.write_text("pvg 9\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "validate", "--in", str(bad))
     assert code == 5
     assert "line 1" in err
@@ -99,7 +101,7 @@ def test_validate_parse_error_exits_5(tmp_path, capsys):
 
 def test_validate_dead_site_exits_5(tmp_path, capsys):
     bad = tmp_path / "dead.pvg"
-    bad.write_text("pvg 1\nmode ids\nsites 2 a ghost\ncarrier c0 : a\n")
+    bad.write_text("pvg 1\nmode ids\nsites 2 a ghost\ncarrier c0 : a\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "validate", "--in", str(bad))
     assert code == 5
 
@@ -115,7 +117,7 @@ def test_explore_hitch_covers_and_exits_0(tmp_path, capsys):
     rec = json.loads(out)
     assert list(rec) == ["instance", "strategy", "k", "n", "p", "moves", "halted", "covered"]
     assert rec["halted"] is True and rec["covered"] is True
-    csv = csv_path.read_text().splitlines()
+    csv = csv_path.read_text(encoding="utf-8").splitlines()
     assert csv[0] == "step,time,carrier,from,to,new_site"
     assert len(csv) == rec["moves"] + 1
 
@@ -138,7 +140,9 @@ def test_explore_move_limit_exits_3(tmp_path, capsys):
 
 def test_explore_hitch_with_a_loose_bound_is_not_cut_off(tmp_path, capsys):
     path = tmp_path / "loose.pvg"
-    path.write_text("pvg 1\nmode ids\nsites 5 a b c d e\ncarrier c0 : a b c\ncarrier c1 : a d e\n")
+    path.write_text(
+        "pvg 1\nmode ids\nsites 5 a b c d e\ncarrier c0 : a b c\ncarrier c1 : a d e\n", encoding="utf-8"
+    )
     code, out, _ = run_cli(capsys, "explore", "--in", str(path), "--strategy", "hitch", "--bound", "20")
     assert code == 0
     assert json.loads(out)["moves"] > 16 * 2 * 3**2
@@ -146,7 +150,7 @@ def test_explore_hitch_with_a_loose_bound_is_not_cut_off(tmp_path, capsys):
 
 def test_explore_guess_on_anonymous_exits_4(tmp_path, capsys):
     anon = tmp_path / "anon.pvg"
-    anon.write_text("pvg 1\nmode anonymous\nsites 2 a b\ncarrier c0 : a b\n")
+    anon.write_text("pvg 1\nmode anonymous\nsites 2 a b\ncarrier c0 : a b\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "explore", "--in", str(anon), "--strategy", "guess")
     assert code == 4
 
@@ -169,8 +173,8 @@ def test_oracle_reads_bound_comment_and_passes(tmp_path, capsys):
 
 def test_oracle_flags_violation_with_exit_1(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "--family", "thm7", "--n", "4", "--k", "2")
-    text = path.read_text() + "# bound 9999\n"
-    path.write_text(text)
+    text = path.read_text(encoding="utf-8") + "# bound 9999\n"
+    path.write_text(text, encoding="utf-8")
     code, out, _ = run_cli(capsys, "oracle", "--in", str(path))
     assert code == 1
     assert json.loads(out)["violation"] is True

@@ -270,7 +270,7 @@ def test_feasibility_past_a_joint_period_of_2_to_the_32():
 def test_import_needs_no_numpy():
     src = Path(pvgraph.__file__).resolve().parents[1]
     code = f"import sys; sys.path.insert(0, {str(src)!r}); sys.modules['numpy'] = None; import pvgraph"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", timeout=60)
     assert done.returncode == 0, done.stderr
 
 

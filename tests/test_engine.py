@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -19,9 +20,11 @@ from pvgraph import (
     RouteSet,
     Trace,
     TimedEdge,
+    Walk,
     carriers_at,
     default_move_limit,
     gen_random_feasible,
+    is_concrete_cover,
     is_homogeneous,
     make_instance,
     replay_check,
@@ -30,6 +33,7 @@ from pvgraph import (
     summary_record,
     trace_to_csv,
 )
+import pvgraph.engine
 from pvgraph.core import ANONYMOUS
 
 
@@ -188,6 +192,63 @@ def test_steps_are_slotted():
     assert not hasattr(TimedEdge(0, "c0", "a", "b"), "__dict__")
 
 
+def _four_moves():
+    rs = rs_of(["a", "b"], ["a", "c"])
+    tr = run(rs, Scripted([Ride("c1"), Ride("c1"), Ride("c0"), Ride("c0")]), "c0")
+    steps = (
+        TimedEdge(0, "c1", "a", "c"),
+        TimedEdge(1, "c1", "c", "a"),
+        TimedEdge(2, "c0", "a", "b"),
+        TimedEdge(3, "c0", "b", "a"),
+    )
+    return tr, steps
+
+
+def test_walk_indexes_like_the_tuple_of_its_steps():
+    tr, steps = _four_moves()
+    walk = tr.steps
+    assert isinstance(walk, Walk) and len(walk) == 4
+    for i in range(-4, 4):
+        assert walk[i] == steps[i]
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            walk[i]
+    for cut in (slice(None), slice(1, 3), slice(-2, None), slice(None, None, -2), slice(5, 9)):
+        assert walk[cut] == steps[cut]
+    assert [type(s) for s in walk] == [TimedEdge] * 4 and tuple(walk) == steps
+    with pytest.raises(AttributeError):
+        walk.tos = ()
+
+
+def test_walk_equals_and_hashes_like_its_steps():
+    tr, steps = _four_moves()
+    walk = tr.steps
+    assert walk == steps and steps == walk and hash(walk) == hash(steps)
+    assert walk == Walk.of(steps) == Walk(walk.carriers, walk.froms, walk.tos)
+    assert walk != steps[:3] and walk != Walk.of(steps[:3]) and walk != list(steps)
+    back = Trace(tr.start_carrier, tuple(tr.steps), tr.halted, tr.visited_sites)
+    assert isinstance(back.steps, Walk) and back == tr and hash(back) == hash(tr)
+    assert copy.deepcopy(tr) == tr
+
+
+def test_walk_columns_have_one_length():
+    with pytest.raises(ValueError):
+        Walk(["c0", "c0"], ["a", "b"], ["b"])
+
+
+def test_run_and_its_readers_build_no_step_objects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a TimedEdge was built")
+
+    inst = make_instance("thm7", 12, 4)
+    rs = inst.routeset
+    monkeypatch.setattr(pvgraph.engine, "TimedEdge", refuse)
+    tr = run(rs, HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs)), inst.start)
+    assert replay_check(rs, tr) == (True, None)
+    assert is_concrete_cover(rs, tr) and tr.covers(rs)
+    assert trace_to_csv(tr).count("\n") == tr.moves + 1
+
+
 def test_move_limit_tags_partial_trace():
     rs = rs_of(["a", "b"])
 
@@ -226,6 +287,8 @@ def test_unknown_start_carrier_is_a_parameter_violation():
 def test_trace_rejects_misnumbered_steps():
     with pytest.raises(ValueError):
         Trace("c0", (TimedEdge(3, "c0", "a", "b"),), True, ("a", "b"))
+    with pytest.raises(ValueError, match="step 1 timed 0"):
+        Walk.of([TimedEdge(0, "c0", "a", "b"), TimedEdge(0, "c0", "b", "a")])
 
 
 def test_csv_golden():
@@ -252,6 +315,22 @@ def test_csv_is_built_without_a_list_of_rows():
         tracemalloc.stop()
     # the finished string plus its blocks; one joined list of every row reads ~4.5x
     assert peak < 3 * len(csv), (peak, len(csv))
+
+
+def test_run_stores_a_move_in_under_64_bytes():
+    inst = make_instance("sihe", 40, 4)
+    rs = inst.routeset
+    rs.schedule  # built on first use; a cost of the system, not of the walk
+    strategy = HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs))
+    tracemalloc.start()
+    try:
+        tr = run(rs, strategy, inst.start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.moves == 103_055
+    # three columns of name references read ~33; one TimedEdge object per move read ~113
+    assert peak < 64 * tr.moves, peak / tr.moves
 
 
 def test_summary_record_key_order_and_values():
@@ -282,6 +361,16 @@ def test_replay_flags_first_bad_step():
         tr.visited_sites,
     )
     assert replay_check(rs, doctored) == (False, 1)
+
+
+def test_replay_flags_a_tampered_step():
+    inst = make_instance("thm7", 12, 4)
+    rs = inst.routeset
+    trace = run(rs, HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs)), inst.start)
+    steps = list(trace.steps)
+    wrong = next(site for site in rs.sites if site != steps[3].to_site)
+    steps[3] = dataclasses.replace(steps[3], to_site=wrong)
+    assert replay_check(rs, dataclasses.replace(trace, steps=tuple(steps))) == (False, 3)
 
 
 def test_replay_flags_wrong_start_continuity():

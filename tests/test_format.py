@@ -107,7 +107,7 @@ def test_dump_round_trips(tmp_path):
     rs = loads(GOLDEN)
     path = tmp_path / "g.pvg"
     dump(rs, path)
-    assert path.read_text() == dumps(rs)
+    assert path.read_text(encoding="utf-8") == dumps(rs)
     assert load(path) == rs
 
 
