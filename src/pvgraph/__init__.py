@@ -14,7 +14,6 @@ from .core import (
     Route,
     RouteSet,
     TimedEdge,
-    Witness,
     build_meeting_graph,
     carriers_at,
     is_concrete_cover,
@@ -71,7 +70,7 @@ from .strategies import GuessingRide, HitchARide
 
 __all__ = [
     "ANONYMOUS", "IDS",
-    "Carrier", "MeetingGraph", "Route", "RouteSet", "TimedEdge", "Witness",
+    "Carrier", "MeetingGraph", "Route", "RouteSet", "TimedEdge",
     "build_meeting_graph", "carriers_at", "is_concrete_cover", "is_feasible",
     "is_homogeneous", "is_irredundant", "is_simple",
     "Halt", "HALT", "Observation", "Ride", "Strategy", "Trace", "Walk",

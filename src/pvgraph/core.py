@@ -245,28 +245,17 @@ def is_homogeneous(routeset: RouteSet) -> bool:
     return len(periods) == 1
 
 
-@dataclass(frozen=True)
-class Witness:
-    """One meeting: the pair stands on `site` at every time ≡ phase (mod recurrence)."""
-
-    site: str
-    phase: int
-    recurrence: int
-
-
 class MeetingGraph:
     """Undirected graph on carriers; an edge means the pair meets somewhere.
 
-    Edges are fixed at construction; an edge's witnesses are derived from the
-    two routes when they are asked for.
+    Only which pairs meet is kept, not when or where: feasibility needs
+    nothing more.
     """
 
     def __init__(self, routeset: RouteSet, edges: Iterable[tuple[str, str]]):
         self.nodes = tuple([c.id for c in routeset.carriers])  # exact size, as in from_routes
-        self._routeset = routeset
         self._order = {c: i for i, c in enumerate(self.nodes)}
         self._edges = tuple(edges)
-        self._residue_sets: dict[tuple[str, int], frozenset[tuple[str, int]]] = {}
         adj: dict[str, set[str]] = {c: set() for c in self.nodes}
         for a, b in self._edges:
             adj[a].add(b)
@@ -274,40 +263,16 @@ class MeetingGraph:
         self._adj = {c: frozenset(v) for c, v in adj.items()}
 
     def has_edge(self, a: str, b: str) -> bool:
-        return b in self._adj[a]
-
-    def witnesses(self, a: str, b: str) -> tuple[Witness, ...]:
-        """Every meeting of the pair within one joint period, by phase.
-
-        Phase i of a and phase j of b coincide iff i ≡ j (mod g), g the gcd
-        of the periods, at the one instant t < lcm with t ≡ i (mod pa) and
-        t ≡ j (mod pb): t = i + pa·u where (pa/g)·u ≡ (j − i)/g (mod pb/g).
-        """
-        if not self.has_edge(a, b):
-            return ()
-        ra, rb = self._routeset.carrier(a).route, self._routeset.carrier(b).route
-        pa, pb = ra.period, rb.period
-        g = math.gcd(pa, pb)
-        m, lcm = pb // g, pa // g * pb
-        inv = pow(pa // g, -1, m)
-        hits = []
-        for s, r in self._residues(a, g) & self._residues(b, g):
-            js = [j for j in range(r, pb, g) if rb.sites[j] == s]
-            for i in range(r, pa, g):
-                if ra.sites[i] == s:
-                    hits.extend((i + pa * ((j - i) // g * inv % m), s) for j in js)
-        hits.sort()
-        return tuple(Witness(s, t, lcm) for t, s in hits)
-
-    def _residues(self, c: str, g: int) -> frozenset[tuple[str, int]]:
-        """The (site, phase mod g) pairs of c's route, kept for later requests."""
-        if (c, g) not in self._residue_sets:
-            sites = self._routeset.carrier(c).route.sites
-            self._residue_sets[c, g] = frozenset((s, i % g) for i, s in enumerate(sites))
-        return self._residue_sets[c, g]
+        mates = self.neighbors(a)
+        if b not in self._adj:
+            raise ParameterViolation(f"no carrier {b!r}")
+        return b in mates
 
     def neighbors(self, c: str) -> frozenset[str]:
-        return self._adj[c]
+        try:
+            return self._adj[c]
+        except KeyError:
+            raise ParameterViolation(f"no carrier {c!r}") from None
 
     def edges(self) -> list[tuple[str, str]]:
         return list(self._edges)

@@ -11,6 +11,7 @@ at the stated tolerance.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 
@@ -193,11 +194,15 @@ def test_criterion_6_simple_route_families():
             if not all(is_simple(c.route) and c.route.period == p for c in rs.carriers):
                 bad.append(("siho-shape", n, k))
                 continue
-            mg = build_meeting_graph(rs)
-            for a, b in mg.edges():
-                for w in mg.witnesses(a, b):
-                    if not (w.site.startswith("z") and w.phase < nbar):
-                        bad.append(("siho-meeting", n, k, w))
+            # every pair shares the corridor, so every pair meets
+            if len(build_meeting_graph(rs).edges()) != k * (k - 1) // 2:
+                bad.append(("siho-edges", n, k))
+            # one period, so carriers meet exactly where their routes agree phase by phase
+            for i, col in enumerate(zip(*(c.route.sites for c in rs.carriers))):
+                if len(set(col)) < k:
+                    met = {x for x in col if col.count(x) > 1}
+                    if i >= nbar or not all(x.startswith("z") for x in met):
+                        bad.append(("siho-meeting", n, k, i, sorted(met)))
     for n in range(36, 61):
         for k in range(4, n // 6 - 1):
             try:
@@ -207,15 +212,18 @@ def test_criterion_6_simple_route_families():
             sihe_pts += 1
             _, _, q, p = sihe_params(n, k)
             periods = [c.route.period for c in rs.carriers]
-            if periods != [q] + [p] * (k - 1) or not all(
+            if periods != [q] + [p] * (k - 1) or math.gcd(q, p) != 1 or not all(
                 is_simple(c.route) for c in rs.carriers
             ):
                 bad.append(("sihe-shape", n, k))
                 continue
             mg = build_meeting_graph(rs)
+            hub = rs.carrier("c0").route.domain
             for i in range(1, k):
-                ws = mg.witnesses("c0", f"c{i}")
-                if not ws or any(w.site != f"z{i}" for w in ws):
+                # coprime periods: every phase pair coincides, so hub and spoke
+                # meet on each site they share, and only there
+                spoke = rs.carrier(f"c{i}").route.domain
+                if hub & spoke != {f"z{i}"} or not mg.has_edge("c0", f"c{i}"):
                     bad.append(("sihe-star", n, k, i))
                 for j in range(i + 1, k):
                     if mg.has_edge(f"c{i}", f"c{j}"):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from pvgraph import (
@@ -138,9 +140,11 @@ def test_thm7_route_golden():
 
 def test_thm7_carriers_meet_only_at_origin():
     rs = gen_thm7(8, 3)
-    mg = build_meeting_graph(rs)
-    for a, b in mg.edges():
-        assert {w.site for w in mg.witnesses(a, b)} == {"x0"}
+    pairs = list(combinations(rs.carriers, 2))
+    assert build_meeting_graph(rs).edges() == [(a.id, b.id) for a, b in pairs]
+    for a, b in pairs:
+        # one period, so a pair meets exactly where its routes agree phase by phase
+        assert {x for x, y in zip(a.route.sites, b.route.sites) if x == y} == {"x0"}
 
 
 def test_thm8_periods_are_coprime_split():
@@ -155,8 +159,9 @@ def test_thm8_shape():
     assert rs.carrier("c0").route.period == 6
     assert rs.carrier("c1").route.period == 7
     assert all(is_irredundant(c.route) for c in rs.carriers)
-    mg = build_meeting_graph(rs)
-    assert {w.site for w in mg.witnesses("c0", "c1")} == {"x0"}
+    # coprime periods: every phase pair coincides, so the pair meets on each shared site
+    assert rs.carrier("c0").route.domain & rs.carrier("c1").route.domain == {"x0"}
+    assert build_meeting_graph(rs).has_edge("c0", "c1")
 
 
 def test_siho_params_and_stride_layout():
