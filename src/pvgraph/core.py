@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, groupby
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InconsistentWalk, ParameterViolation, UnreachableSite
@@ -174,10 +174,18 @@ class Schedule:
     site at instant t are thus c and the d in `company[c][t mod p_c]` whose
     route is at that site at t. Both tables hold O(k·Σp) entries, none in
     proportion to the lcm of the periods.
+
+    For the instants the agent rides alone, `quiet[c][i]` counts the phases
+    from i on, up to p_c, whose `company` is empty: 0 where phase i lists
+    company. `cycles[c]` is carrier c's route as site names, twice over, so
+    that the sites of any p_c consecutive phases from phase i are the one
+    slice `cycles[c][i:i + p_c]`. These hold O(Σp) entries.
     """
 
     routes: tuple[tuple[int, ...], ...]
     company: tuple[tuple[tuple[int, ...], ...], ...]
+    quiet: tuple[tuple[int, ...], ...]
+    cycles: tuple[tuple[str, ...], ...]
 
 
 def _build_schedule(routeset: RouteSet) -> Schedule:
@@ -204,7 +212,15 @@ def _build_schedule(routeset: RouteSet) -> Schedule:
                     mates.append(d)
             row.append(tuple(mates))
         company.append(tuple(row))
-    return Schedule(routes, tuple(company))
+    quiet = []
+    for row in company:
+        p, lone, left = len(row), 0, [0] * len(row)
+        for i in range(2 * p - 1, -1, -1):  # the second lap counts the quiet phases that wrap
+            lone = 0 if row[i % p] else lone + 1
+            left[i % p] = min(lone, p)
+        quiet.append(tuple(left))
+    cycles = tuple([c.route.sites * 2 for c in routeset.carriers])
+    return Schedule(routes, tuple(company), tuple(quiet), cycles)
 
 
 def is_simple(route: Route) -> bool:
@@ -328,6 +344,9 @@ def is_feasible(routeset: RouteSet) -> bool:
     return True
 
 
+RUN_BLOCK = 1024  # moves compared at once: long runs are cut so the slices stay small
+
+
 def _walk_fault(routeset: RouteSet, walk: "Trace") -> tuple[int, str] | None:
     """The first step the routes do not allow, as (index, reason); None if lawful.
 
@@ -335,13 +354,43 @@ def _walk_fault(routeset: RouteSet, walk: "Trace") -> tuple[int, str] | None:
     site at t=0) and be the move its carrier makes from time i to i+1. An
     unknown start carrier faults step 0; an unknown step carrier, its step.
     Step times need no check: a trace's `Walk` times step i at i.
+
+    Each run of steps on one carrier is compared with its route a block at a
+    time, by whole slices; only a block that fails is scanned step by step,
+    to name its first fault.
     """
     by_id = routeset.by_id
     if walk.start_carrier not in by_id:
         return 0, f"no start carrier {walk.start_carrier!r}"
     here = by_id[walk.start_carrier].route.sites[0]
     steps = walk.steps
-    for i, cid, frm, to in zip(count(), steps.carriers, steps.froms, steps.tos):
+    laps: dict[str, tuple[str, ...]] = {}  # each route repeated past p + RUN_BLOCK sites
+    a = 0
+    for cid, run in groupby(steps.carriers):
+        b = a + operator.countOf(run, cid)
+        c = by_id.get(cid)
+        if c is None:
+            return _step_fault(by_id, steps, a, here)
+        sites = c.route.sites
+        p = len(sites)
+        if cid not in laps:
+            laps[cid] = sites * (2 + RUN_BLOCK // p)
+        for o in range(a, b, RUN_BLOCK):
+            e = min(o + RUN_BLOCK, b)
+            froms, tos = steps.froms[o:e], steps.tos[o:e]
+            s = (o + 1) % p  # the phase of move o's arrival
+            if (froms[0] != here or sites[o % p] != here or froms[1:] != tos[:-1]
+                    or tos != laps[cid][s:s + e - o]):
+                return _step_fault(by_id, steps, o, here)
+            here = tos[-1]
+        a = b
+    return None
+
+
+def _step_fault(by_id, steps, a: int, here: str) -> tuple[int, str] | None:
+    """The first fault at or after step a, the agent standing on `here`, found step by step."""
+    for i in range(a, len(steps)):
+        cid, frm, to = steps.carriers[i], steps.froms[i], steps.tos[i]
         c = by_id.get(cid)
         if c is None:
             return i, f"step {i} rides unknown carrier {cid!r}"

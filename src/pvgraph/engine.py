@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Protocol
 
 from .core import IDS, RouteSet, TimedEdge, _walk_fault
@@ -42,7 +42,18 @@ Action = Ride | Halt
 
 class Strategy(Protocol):
     """Chooses each action. One with a proved cap on its moves may also define
-    `move_bound(routeset) -> int`, and `run` then never cuts it off earlier."""
+    `move_bound(routeset) -> int`, and `run` then never cuts it off earlier.
+
+    One may also define `advance(obs, most) -> int`, to ride on alone through
+    many instants in one call. `run` offers it only at an instant `obs` where
+    the agent is alone and stays alone for the next `most - 1` instants; with
+    site identities, the sites of those instants are also ones the walk has
+    already seen. `most` never runs past the move limit. The strategy updates
+    its state exactly as if `decide` had returned `Ride(obs.current_carrier)`
+    at each of `j` instants from `obs` on, and returns `j`, `0 <= j <= most`;
+    any other return is an `IllegalAction`. At 0 `run` calls `decide(obs)`. A
+    strategy without `advance` is asked to `decide` at every instant.
+    """
 
     def decide(self, obs: Observation) -> Action: ...
 
@@ -162,13 +173,15 @@ def run(
     if move_limit <= 0:
         raise ValueError("move_limit must be positive")
     routeset.carrier(start_carrier)  # an unknown start is a ParameterViolation
-    routes, company = routeset.schedule.routes, routeset.schedule.company
+    sched = routeset.schedule
+    routes, company, quiet, cycles = sched.routes, sched.company, sched.quiet, sched.cycles
     periods = [len(r) for r in routes]
     ids = [c.id for c in routeset.carriers]
     index = {cid: c for c, cid in enumerate(ids)}
     alone = [frozenset((cid,)) for cid in ids]  # the arrival set whenever c has no company
     names = routeset.sites
     expose_sites = routeset.mode == IDS
+    advance = getattr(strategy, "advance", None)
     # the agent rides carrier c and stands on site index `site`
     c = index[start_carrier]
     t = 0
@@ -176,20 +189,46 @@ def run(
     carriers: list[str] = []  # step i's carrier and arrival site
     tos: list[str] = []
     visited = [names[site]]
-    seen = {site}
+    seen = {names[site]}
     halted = False
     limit_hit = False
     while True:
-        mates = company[c][t % periods[c]]
+        phase = t % periods[c]
+        mates = company[c][phase]
         if mates:
             arriving = frozenset(
                 [ids[c], *(ids[d] for d in mates if routes[d][t % periods[d]] == site)]
             )
         else:
             arriving = alone[c]
-        action = strategy.decide(
-            Observation(t, ids[c], arriving, names[site] if expose_sites else None)
-        )
+        obs = Observation(t, ids[c], arriving, names[site] if expose_sites else None)
+        if not mates and advance is not None:
+            # riding alone, the moves' arrivals from t on are one slice of the cycle
+            cycle = cycles[c]
+            most = min(quiet[c][phase], move_limit - t)
+            if expose_sites:  # the instants after t must stand on seen sites
+                ahead = cycle[phase + 1:phase + most]
+                if not seen.issuperset(ahead):
+                    most = list(map(seen.__contains__, ahead)).index(False) + 1
+            j = advance(obs, most)
+            if not (isinstance(j, int) and 0 <= j <= most):
+                raise IllegalAction(f"advance returned {j!r}, not 0..{most}, at t={t}")
+            if j:
+                reached = cycle[phase + 1:phase + 1 + j]
+                carriers.extend(repeat(ids[c], j))
+                tos.extend(reached)
+                if not seen.issuperset(reached):
+                    for to in reached:  # first visits in order, however many a skip crosses
+                        if to not in seen:
+                            seen.add(to)
+                            visited.append(to)
+                t += j
+                site = routes[c][t % periods[c]]
+                if t >= move_limit:
+                    limit_hit = True
+                    break
+                continue
+        action = strategy.decide(obs)
         if not isinstance(action, Ride):  # the common case tested first: a ride
             if isinstance(action, Halt):
                 halted = True
@@ -202,11 +241,12 @@ def run(
         c = index[action.carrier]
         t += 1
         site = routes[c][t % periods[c]]
+        to = names[site]
         carriers.append(ids[c])
-        tos.append(names[site])
-        if site not in seen:
-            seen.add(site)
-            visited.append(names[site])
+        tos.append(to)
+        if to not in seen:
+            seen.add(to)
+            visited.append(to)
         if t >= move_limit:
             limit_hit = True
             break

@@ -88,6 +88,17 @@ class HitchARide:
             return Ride(c)
         return Ride(cur)  # forever: nothing reachable is left, let the limit fire
 
+    def advance(self, obs: Observation, most: int) -> int:
+        """Ride on alone: a visit counts down its moves, and the other modes wait."""
+        if self._state is None:
+            return 0
+        mode, c, remaining = self._state
+        if mode != "visit":
+            return most
+        j = min(most, remaining)
+        self._state = (mode, c, remaining - j)
+        return j
+
     def _board_child(self, parent: str, child: str) -> Action:
         self._parent[child] = parent
         self._nbrs[child] = {parent}
@@ -187,6 +198,18 @@ class GuessingRide:
                 continue
             self._state = ("backtrack", c, spent + 1)
             return Ride(c)
+
+    def advance(self, obs: Observation, most: int) -> int:
+        """Ride on alone, spending the leg's budget; the n-th site seen halts instead."""
+        if self._state is None or obs.site_identity is None:
+            return 0
+        self.seen_sites.add(obs.site_identity)
+        if len(self.seen_sites) >= self.n:
+            return 0
+        mode, c, spent = self._state
+        j = min(most, self.guess - spent)
+        self._state = (mode, c, spent + j)
+        return j
 
     def _restart(self, cur: str) -> None:
         if self._state is not None:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pvgraph import (
     HALT,
     IDS,
+    GuessingRide,
     HitchARide,
     IllegalAction,
     Observation,
@@ -33,8 +35,9 @@ from pvgraph import (
     summary_record,
     trace_to_csv,
 )
+import pvgraph.core
 import pvgraph.engine
-from pvgraph.core import ANONYMOUS
+from pvgraph.core import ANONYMOUS, _walk_fault
 
 
 def rs_of(*routes, mode=IDS):
@@ -403,3 +406,143 @@ def test_trace_covers_the_universe_of_the_routeset():
     tr = run(rs, Scripted([Ride("c1"), Ride("c1"), Ride("c0")]), "c0")
     assert tr.covers(rs)
     assert not run(rs, Scripted([Ride("c1")]), "c0").covers(rs)
+
+
+class DecideOnly:
+    """Shows `run` only a strategy's `decide`, so it is asked at every instant."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def decide(self, obs: Observation):
+        return self.inner.decide(obs)
+
+
+class RideOn:
+    """Rides its carrier forever, skipping every lone stretch it is offered."""
+
+    def __init__(self, answer=lambda most: most):
+        self.answer = answer  # how many of the `most` lone instants to ride through
+        self.offers = []
+
+    def decide(self, obs: Observation):
+        return Ride(obs.current_carrier)
+
+    def advance(self, obs: Observation, most: int) -> int:
+        self.offers.append((obs.time, most))
+        return self.answer(most)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_advance_matches_deciding_every_instant(data):
+    n = data.draw(st.integers(1, 10), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    shared = data.draw(st.none() | st.integers(1, 8), label="shared period")
+    periods = [shared or data.draw(st.integers(1, 8), label=f"p{i}") for i in range(k)]
+    routes = [
+        data.draw(st.lists(st.integers(0, n - 1), min_size=p, max_size=p), label=f"c{i}")
+        for i, p in enumerate(periods)
+    ]
+    mode = data.draw(st.sampled_from([IDS, ANONYMOUS]), label="mode")
+    rs = rs_of(*[[f"s{x}" for x in r] for r in routes], mode=mode)
+    start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
+    if mode == IDS and data.draw(st.booleans(), label="guess"):
+        g0 = data.draw(st.integers(1, 12), label="g0")
+        make = lambda: GuessingRide(rs.n, g0)
+    else:
+        # B < p leaves carriers unmet: such runs end riding forever, cut off by the limit
+        bound = data.draw(st.integers(1, rs.max_period + 2), label="B")
+        known = data.draw(st.booleans(), label="homogeneous_known")
+        make = lambda: HitchARide(bound, homogeneous_known=known)
+    skipping, deciding = make(), make()
+    limit = default_move_limit(rs, skipping)
+    assert run(rs, skipping, start, limit) == run(rs, DecideOnly(deciding), start, limit)
+    assert vars(skipping) == vars(deciding)
+
+
+def test_a_skip_records_every_first_visit_it_crosses_in_order():
+    rs = rs_of(["a", "b", "c", "d", "e"], ["a", "x"], mode=ANONYMOUS)
+    offers = []
+
+    class Offered(HitchARide):
+        def advance(self, obs, most):
+            j = super().advance(obs, most)
+            offers.append((obs.time, most, j))
+            return j
+
+    tr = run(rs, Offered(5), "c0")
+    assert (1, 4, 4) in offers  # one call rode from b over c, d, e back to a
+    assert tr == run(rs, DecideOnly(HitchARide(5)), "c0")
+    assert tr.visited_sites[:5] == ("a", "b", "c", "d", "e")
+
+
+def test_a_move_limit_inside_a_skip_cuts_the_same_partial_trace():
+    rs = rs_of(["a", "b", "c", "d", "e"], mode=ANONYMOUS)
+    skipping = RideOn()
+    tr = run(rs, skipping, "c0", move_limit=7)
+    assert skipping.offers == [(0, 5), (5, 2)]  # the second lone stretch is cut to the limit
+    assert tr.move_limit_exceeded and not tr.halted and tr.moves == 7
+    assert tr == run(rs, DecideOnly(RideOn()), "c0", move_limit=7)
+
+
+@pytest.mark.parametrize("answer", [lambda most: most + 1, lambda most: -1])
+def test_advance_outside_zero_to_most_is_illegal(answer):
+    rs = rs_of(["a", "b", "c"], mode=ANONYMOUS)
+    with pytest.raises(IllegalAction, match="advance returned"):
+        run(rs, RideOn(answer), "c0", move_limit=10)
+
+
+def reference_fault(rs, trace):
+    """`_walk_fault` checked step by step: the reference the whole-run comparisons keep to."""
+    by_id = rs.by_id
+    if trace.start_carrier not in by_id:
+        return 0, f"no start carrier {trace.start_carrier!r}"
+    here = by_id[trace.start_carrier].route.sites[0]
+    for i, step in enumerate(trace.steps):
+        c = by_id.get(step.carrier)
+        if c is None:
+            return i, f"step {i} rides unknown carrier {step.carrier!r}"
+        if step.from_site != here:
+            return i, f"step {i} departs {step.from_site} but the agent stands on {here}"
+        if c.route.at(i) != here or c.route.at(i + 1) != step.to_site:
+            return i, (f"step {i}: carrier {step.carrier} does not activate "
+                       f"({step.from_site} -> {step.to_site}) at time {i}")
+        here = step.to_site
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_walk_faults_match_the_step_by_step_reference(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(1, 3), label="k")
+    routes = [
+        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6), label=f"c{i}")
+        for i in range(k)
+    ]
+    rs = rs_of(*[[f"s{x}" for x in r] for r in routes])
+    moves = data.draw(st.integers(0, 40), label="moves")
+    start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
+    rider = RandomRider(data.draw(st.randoms(use_true_random=False)), moves)
+    tr = run(rs, rider, start, move_limit=moves + 1)
+    columns = {"carriers": list(tr.steps.carriers), "froms": list(tr.steps.froms),
+               "tos": list(tr.steps.tos)}
+    names = {"carriers": [c.id for c in rs.carriers] + ["ghost"],
+             "froms": list(rs.sites) + ["nowhere"], "tos": list(rs.sites) + ["nowhere"]}
+    for _ in range(data.draw(st.integers(0, 3), label="edits") if moves else 0):
+        column = data.draw(st.sampled_from(sorted(columns)), label="column")
+        at = data.draw(st.integers(0, moves - 1), label="at")
+        columns[column][at] = data.draw(st.sampled_from(names[column]), label="to")
+    start = data.draw(st.sampled_from([start, *names["carriers"]]), label="start carrier")
+    tampered = Trace(start, Walk(columns["carriers"], columns["froms"], columns["tos"]),
+                     tr.halted, tr.visited_sites)
+    fault = reference_fault(rs, tampered)
+    # short blocks cut long runs, as RUN_BLOCK cuts them on long walks
+    block = data.draw(st.sampled_from([1, 2, 5, pvgraph.core.RUN_BLOCK]), label="block")
+    scan = mock.Mock(wraps=pvgraph.core._step_fault)
+    with mock.patch.multiple(pvgraph.core, RUN_BLOCK=block, _step_fault=scan):
+        assert _walk_fault(rs, tampered) == fault
+    if fault is None:  # a lawful walk passes on whole slices alone
+        assert not scan.called
+    assert replay_check(rs, tampered) == ((True, None) if fault is None else (False, fault[0]))
