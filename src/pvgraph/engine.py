@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from typing import Iterable, Iterator, NamedTuple, Protocol
 
 from .core import IDS, RouteSet, TimedEdge, _walk_fault
@@ -271,28 +271,41 @@ def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
 
 
 CSV_HEADER = "step,time,carrier,from,to,new_site"
-CSV_BLOCK = 4096  # rows joined at a time
-
-
-def _csv_rows(trace: Trace) -> Iterator[str]:
-    yield CSV_HEADER + "\n"
-    seen = {trace.visited_sites[0]} if trace.visited_sites else set()
-    walk = trace.steps
-    for i, carrier, frm, to in zip(count(), walk.carriers, walk.froms, walk.tos):
-        new = 0 if to in seen else 1
-        seen.add(to)
-        yield f"{i},{i},{carrier},{frm},{to},{new}\n"
+CSV_BLOCK = 4096  # rows laid out and joined at a time
 
 
 def trace_to_csv(trace: Trace) -> str:
     """One row per move; new_site flags first arrivals.
 
-    Rows are joined a block at a time, so the peak stays near twice the CSV's
+    Each block of `CSV_BLOCK` rows is laid out by column: a list of eight
+    pieces a row, prefilled with commas, takes the step numbers (for step and
+    time), carriers, departures and one `",to,0\n"` end a row by slice
+    assignment, and only the first arrivals' ends are patched to `",to,1\n"`.
+    Blocks are joined one at a time, so the peak stays near twice the CSV's
     size; a list of every row string would hold over four times it.
     """
-    rows = _csv_rows(trace)
-    # no row is empty, so the first empty block means the rows ran out
-    return "".join(iter(lambda: "".join(islice(rows, CSV_BLOCK)), ""))
+    walk = trace.steps
+    carriers, froms, tos = walk.carriers, walk.froms, walk.tos
+    m = len(tos)
+    first = dict(zip(reversed(tos), range(m - 1, -1, -1)))  # each site's first arrival
+    ends = dict(zip(first, map(",{},0\n".format, first)))
+    if trace.visited_sites:  # arriving back at the start is not new
+        first.pop(trace.visited_sites[0], None)
+    new = sorted(first.values(), reverse=True)  # popped in step order
+    blocks = [CSV_HEADER + "\n"]
+    for o in range(0, m, CSV_BLOCK):
+        e = min(o + CSV_BLOCK, m)
+        pieces = [","] * (8 * (e - o))
+        pieces[0::8] = pieces[2::8] = list(map(str, range(o, e)))
+        pieces[4::8] = carriers[o:e]
+        pieces[6::8] = froms[o:e]
+        pieces[7::8] = map(ends.__getitem__, tos[o:e])
+        while new and new[-1] < e:
+            i = new.pop()
+            pieces[8 * (i - o) + 7] = f",{tos[i]},1\n"
+        blocks.append("".join(pieces))
+        del pieces  # so the last block's pieces are not held through the final join
+    return "".join(blocks)
 
 
 def summary_record(

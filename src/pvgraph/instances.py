@@ -154,8 +154,13 @@ def thm4_bound(n: int, k: int, p: int) -> int:
 def _stride_row(i: int, m: int) -> list[int]:
     # carrier i's m*m-long walk over x_0..x_{m-1}: block s steps by stride s+1;
     # with m prime, rows of two distinct carriers never align, so carriers
-    # collide only where the construction wants
-    return [(i + (s + 1) * r) % m for s in range(m) for r in range(m)]
+    # collide only where the construction wants. Entry r of block s is
+    # (i + (s+1)*r) % m: a stride-(s+1) slice of 0..m-1 repeated past m*m
+    a, j = list(range(m)) * (m + 1), i % m
+    row = []
+    for d in range(1, m + 1):
+        row += a[j : j + d * m : d]
+    return row
 
 
 def gen_siho(n: int, k: int) -> RouteSet:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pvgraph
-from pvgraph import loads
+from pvgraph import HitchARide, loads, run, trace_to_csv
 from pvgraph.cli import main
 
 
@@ -120,6 +120,11 @@ def test_explore_hitch_covers_and_exits_0(tmp_path, capsys):
     csv = csv_path.read_text(encoding="utf-8").splitlines()
     assert csv[0] == "step,time,carrier,from,to,new_site"
     assert len(csv) == rec["moves"] + 1
+    # the same bytes as the library's writer on the same run
+    rs = loads(path.read_text(encoding="utf-8"))
+    trace = run(rs, HitchARide(rs.max_period, homogeneous_known=True), rs.carriers[0].id)
+    assert csv_path.read_bytes() == trace_to_csv(trace).encode()
+    assert sum(int(row.rsplit(",", 1)[1]) for row in csv[1:]) == len(trace.visited_sites) - 1
 
 
 def test_explore_guess_exits_0(tmp_path, capsys):

@@ -320,6 +320,53 @@ def test_csv_is_built_without_a_list_of_rows():
     assert peak < 3 * len(csv), (peak, len(csv))
 
 
+def reference_csv(trace: Trace) -> str:
+    """One f-string a row; a step is new iff its site is not the start's or an earlier arrival."""
+    rows = [pvgraph.engine.CSV_HEADER + "\n"]
+    seen = {trace.visited_sites[0]} if trace.visited_sites else set()
+    walk = trace.steps
+    for i, carrier, frm, to in zip(range(len(walk)), walk.carriers, walk.froms, walk.tos):
+        rows.append(f"{i},{i},{carrier},{frm},{to},{0 if to in seen else 1}\n")
+        seen.add(to)
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("block", [3, pvgraph.engine.CSV_BLOCK])
+@pytest.mark.parametrize("span", ["short", "B-1", "B", "B+1", "2B+1"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_csv_matches_the_row_by_row_reference(block, span, data):
+    kind = data.draw(
+        st.sampled_from(["walk", "no moves", "revisits start", "no visited sites"]), label="kind"
+    )
+    lengths = {"short": None, "B-1": block - 1, "B": block, "B+1": block + 1, "2B+1": 2 * block + 1}
+    m = lengths[span] if lengths[span] is not None else data.draw(st.integers(1, 30), label="m")
+    if kind == "no moves":
+        m = 0
+    names = st.sampled_from("abcde")
+    # a short drawn pattern of steps, lawful or not, repeated over the walk
+    pattern = data.draw(
+        st.lists(st.tuples(st.sampled_from(["c0", "c1", "c2"]), names, names), min_size=1, max_size=8),
+        label="pattern",
+    )
+    steps = [pattern[i % len(pattern)] for i in range(m)]
+    carriers, froms, tos = [c for c, _, _ in steps], [f for _, f, _ in steps], [t for _, _, t in steps]
+    # sites that first arrive late, some next to a block edge, some arriving twice
+    edges = [i for i in range(m) if i % block in (0, 1, block - 1)]
+    at = st.one_of(st.sampled_from(edges), st.integers(0, m - 1)) if m else st.nothing()
+    for site in "xyz" if m else "":
+        for _ in range(data.draw(st.integers(0, 2), label=f"arrivals at {site}")):
+            tos[data.draw(at, label=f"{site} at")] = site
+    start = data.draw(names, label="start site")
+    if kind == "revisits start":
+        for _ in range(data.draw(st.integers(1, 3), label="returns")):
+            tos[data.draw(at, label="return at")] = start
+    visited = () if kind == "no visited sites" else tuple(dict.fromkeys([start, *tos]))
+    tr = Trace("c0", Walk(carriers, froms, tos), False, visited)
+    with mock.patch.object(pvgraph.engine, "CSV_BLOCK", block):
+        assert trace_to_csv(tr).encode() == reference_csv(tr).encode()
+
+
 def test_run_stores_a_move_in_under_64_bytes():
     inst = make_instance("sihe", 40, 4)
     rs = inst.routeset

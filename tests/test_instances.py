@@ -25,6 +25,7 @@ from pvgraph import (
 )
 from pvgraph.instances import (
     FAMILIES,
+    _stride_row,
     random_routeset_raw,
     sihe_params,
     siho_params,
@@ -174,6 +175,12 @@ def test_siho_params_and_stride_layout():
         assert c.route.sites[:nbar] == tuple(f"z{l}" for l in range(1, nbar + 1))
     # private terminal
     assert {c.route.sites[-1] for c in rs.carriers} == {"y1", "y2", "y3"}
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_stride_rows_follow_the_formula(m):
+    for i in range(m + 3):
+        assert _stride_row(i, m) == [(i + (s + 1) * r) % m for s in range(m) for r in range(m)]
 
 
 def test_sihe_params():
