@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count
 from typing import Iterable, Iterator, NamedTuple, Protocol
 
 from .core import IDS, RouteSet, TimedEdge, _walk_fault
@@ -27,7 +27,10 @@ class Observation(NamedTuple):
 
 
 class Ride(NamedTuple):
+    """Board or stay on `carrier`; `moves > 1` asks to ride it on alone (see `Strategy`)."""
+
     carrier: str
+    moves: int = 1
 
 
 @dataclass(frozen=True)
@@ -44,15 +47,14 @@ class Strategy(Protocol):
     """Chooses each action. One with a proved cap on its moves may also define
     `move_bound(routeset) -> int`, and `run` then never cuts it off earlier.
 
-    One may also define `advance(obs, most) -> int`, to ride on alone through
-    many instants in one call. `run` offers it only at an instant `obs` where
-    the agent is alone and stays alone for the next `most - 1` instants; with
-    site identities, the sites of those instants are also ones the walk has
-    already seen. `most` never runs past the move limit. The strategy updates
-    its state exactly as if `decide` had returned `Ride(obs.current_carrier)`
-    at each of `j` instants from `obs` on, and returns `j`, `0 <= j <= most`;
-    any other return is an `IllegalAction`. At 0 `run` calls `decide(obs)`. A
-    strategy without `advance` is asked to `decide` at every instant.
+    A `Ride(carrier, moves)` that keeps the current carrier may ride on alone
+    through many instants: `run` makes up to `moves` moves before it asks
+    again. It stops at the first instant whose phase lists company in the
+    schedule, at the first site the walk has not seen (with site identities),
+    at the move limit, or after `moves` moves, whichever comes first; a switch
+    or an instant that lists company makes one move. The strategy reads how
+    far it got from the next observation's `time`, so it must answer exactly
+    as it would have at each instant skipped. `moves` must be an `int >= 1`.
     """
 
     def decide(self, obs: Observation) -> Action: ...
@@ -181,7 +183,6 @@ def run(
     alone = [frozenset((cid,)) for cid in ids]  # the arrival set whenever c has no company
     names = routeset.sites
     expose_sites = routeset.mode == IDS
-    advance = getattr(strategy, "advance", None)
     # the agent rides carrier c and stands on site index `site`
     c = index[start_carrier]
     t = 0
@@ -202,32 +203,6 @@ def run(
         else:
             arriving = alone[c]
         obs = Observation(t, ids[c], arriving, names[site] if expose_sites else None)
-        if not mates and advance is not None:
-            # riding alone, the moves' arrivals from t on are one slice of the cycle
-            cycle = cycles[c]
-            most = min(quiet[c][phase], move_limit - t)
-            if expose_sites:  # the instants after t must stand on seen sites
-                ahead = cycle[phase + 1:phase + most]
-                if not seen.issuperset(ahead):
-                    most = list(map(seen.__contains__, ahead)).index(False) + 1
-            j = advance(obs, most)
-            if not (isinstance(j, int) and 0 <= j <= most):
-                raise IllegalAction(f"advance returned {j!r}, not 0..{most}, at t={t}")
-            if j:
-                reached = cycle[phase + 1:phase + 1 + j]
-                carriers.extend(repeat(ids[c], j))
-                tos.extend(reached)
-                if not seen.issuperset(reached):
-                    for to in reached:  # first visits in order, however many a skip crosses
-                        if to not in seen:
-                            seen.add(to)
-                            visited.append(to)
-                t += j
-                site = routes[c][t % periods[c]]
-                if t >= move_limit:
-                    limit_hit = True
-                    break
-                continue
         action = strategy.decide(obs)
         if not isinstance(action, Ride):  # the common case tested first: a ride
             if isinstance(action, Halt):
@@ -238,15 +213,31 @@ def run(
             raise IllegalAction(
                 f"carrier {action.carrier} is not at the agent's site at t={t}"
             )
-        c = index[action.carrier]
-        t += 1
+        moves = action.moves
+        if type(moves) is not int or moves < 1:
+            raise IllegalAction(f"ride of {moves!r} moves at t={t}, not an int >= 1")
+        d = index[action.carrier]
+        j = 1
+        if d != c:  # a switch: one move on the new carrier
+            c = d
+            phase = t % periods[c]
+        elif moves > 1 and not mates:
+            # riding on alone: stop at listed company, an unseen site or the limit
+            j = min(moves, quiet[c][phase], move_limit - t)
+            if expose_sites:  # the instants after t must stand on seen sites
+                ahead = cycles[c][phase + 1:phase + j]
+                if not seen.issuperset(ahead):
+                    j = list(map(seen.__contains__, ahead)).index(False) + 1
+        reached = cycles[c][phase + 1:phase + 1 + j]
+        carriers.extend([ids[c]] * j)
+        tos.extend(reached)
+        if not seen.issuperset(reached):
+            for to in reached:  # first visits in order, however many a ride crosses
+                if to not in seen:
+                    seen.add(to)
+                    visited.append(to)
+        t += j
         site = routes[c][t % periods[c]]
-        to = names[site]
-        carriers.append(ids[c])
-        tos.append(to)
-        if to not in seen:
-            seen.add(to)
-            visited.append(to)
         if t >= move_limit:
             limit_hit = True
             break

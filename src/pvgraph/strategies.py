@@ -46,7 +46,8 @@ class HitchARide:
         self._pending: set[str] = set()  # met but not yet visited
         self._nbrs: dict[str, set[str]] = {}
         self._parent: dict[str, str | None] = {}
-        # (mode, carrier, remaining): mode in visit/seek_child/seek_parent/forever
+        # (mode, carrier, end): mode in visit/seek_child/seek_parent/forever;
+        # `end` is the instant a visit ends, 0 otherwise
         self._state: tuple[str, str, int] | None = None
 
     def move_bound(self, routeset: RouteSet) -> int:
@@ -60,9 +61,9 @@ class HitchARide:
             self._pending = {cur}
             self._parent[cur] = None
             self._nbrs[cur] = set()
-            self._state = ("visit", cur, self.visit_len)
+            self._state = ("visit", cur, obs.time + self.visit_len)
 
-        mode, c, remaining = self._state
+        mode, c, end = self._state
         if mode == "visit":
             # record first meetings; seeks deliberately don't, so every
             # pending carrier is charged to exactly one visit (tree edges)
@@ -70,40 +71,29 @@ class HitchARide:
             if met:
                 self._pending |= met
                 self._nbrs[c] |= met
-            if remaining > 0:
-                self._state = ("visit", c, remaining - 1)
-                return Ride(c)
+            if obs.time < end:
+                return Ride(c, end - obs.time)
             self._visited.add(c)
             self._pending.discard(c)
             return self._dispatch(c, obs)
+        # a seek ends within B' instants, and alone it only rides on
         if mode == "seek_child":
             want = self._nbrs[c] & self._pending & obs.arriving_carriers
             if want:
-                return self._board_child(c, min(want))
-            return Ride(c)
+                return self._board_child(c, min(want), obs)
+            return Ride(c, self.visit_len)
         if mode == "seek_parent":
             par = self._parent[c]
             if par is not None and par in obs.arriving_carriers:
                 return self._dispatch(par, obs)
-            return Ride(c)
-        return Ride(cur)  # forever: nothing reachable is left, let the limit fire
+            return Ride(c, self.visit_len)
+        return Ride(cur, self.visit_len)  # forever: nothing reachable is left, let the limit fire
 
-    def advance(self, obs: Observation, most: int) -> int:
-        """Ride on alone: a visit counts down its moves, and the other modes wait."""
-        if self._state is None:
-            return 0
-        mode, c, remaining = self._state
-        if mode != "visit":
-            return most
-        j = min(most, remaining)
-        self._state = (mode, c, remaining - j)
-        return j
-
-    def _board_child(self, parent: str, child: str) -> Action:
+    def _board_child(self, parent: str, child: str, obs: Observation) -> Action:
         self._parent[child] = parent
         self._nbrs[child] = {parent}
         # the switch itself is the first of the child's B' visit moves
-        self._state = ("visit", child, self.visit_len - 1)
+        self._state = ("visit", child, obs.time + self.visit_len)
         return Ride(child)
 
     def _dispatch(self, c: str, obs: Observation) -> Action:
@@ -112,20 +102,20 @@ class HitchARide:
         if targets:
             here = targets & obs.arriving_carriers
             if here:
-                return self._board_child(c, min(here))
+                return self._board_child(c, min(here), obs)
             self._state = ("seek_child", c, 0)
-            return Ride(c)
+            return Ride(c, self.visit_len)
         if c == self._home:
             if not self._pending:
                 return HALT
             self._state = ("forever", c, 0)
-            return Ride(c)
+            return Ride(c, self.visit_len)
         par = self._parent[c]
         if par is not None and par in obs.arriving_carriers:
             return self._dispatch(par, obs)  # collapse multi-hop returns
         # ride c itself: only c's own route guarantees meeting its parent
         self._state = ("seek_parent", c, 0)
-        return Ride(c)
+        return Ride(c, self.visit_len)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +148,7 @@ class GuessingRide:
         self._home: str | None = None
         self._known: set[str] = set()  # carriers seen this attempt
         self._parent: dict[str, str] = {}
-        self._state: tuple[str, str, int] | None = None  # (mode, carrier, spent)
+        self._state: tuple[str, str, int] | None = None  # (mode, carrier, instant the leg began)
 
     def decide(self, obs: Observation) -> Action:
         if obs.site_identity is None:
@@ -167,57 +157,46 @@ class GuessingRide:
         if len(self.seen_sites) >= self.n:
             return HALT
         cur = obs.current_carrier
+        t = obs.time
         if self._state is None:
-            self._restart(cur)
-        # transitions that consume no move loop back here
+            self._restart(cur, t)
+        # transitions that consume no move loop back here; a ride spends the
+        # rest of the leg's budget, a move per instant
         while True:
-            mode, c, spent = self._state
+            mode, c, leg = self._state
+            spent = t - leg
             if mode == "explore":
                 fresh = obs.arriving_carriers - self._known
                 if fresh:
                     child = min(fresh)
                     self._known.add(child)  # only the boarded one is recorded
                     self._parent[child] = c
-                    self._state = ("explore", child, 1)
+                    self._state = ("explore", child, t)
                     return Ride(child)
                 if spent < self.guess:
-                    self._state = ("explore", c, spent + 1)
-                    return Ride(c)
+                    return Ride(c, self.guess - spent)
                 if c == self._home:
-                    self._restart(cur)  # budget spent at the root: bigger guess
+                    self._restart(cur, t)  # budget spent at the root: bigger guess
                     continue
-                self._state = ("backtrack", c, 0)
+                self._state = ("backtrack", c, t)
                 continue
             # backtrack: parent first, then anything new, then exhaustion
             par = self._parent.get(c)
             if par is not None and par in obs.arriving_carriers:
-                self._state = ("explore", par, 1)
+                self._state = ("explore", par, t)
                 return Ride(par)
             if obs.arriving_carriers - self._known or spent >= self.guess:
-                self._restart(cur)
+                self._restart(cur, t)
                 continue
-            self._state = ("backtrack", c, spent + 1)
-            return Ride(c)
+            return Ride(c, self.guess - spent)
 
-    def advance(self, obs: Observation, most: int) -> int:
-        """Ride on alone, spending the leg's budget; the n-th site seen halts instead."""
-        if self._state is None or obs.site_identity is None:
-            return 0
-        self.seen_sites.add(obs.site_identity)
-        if len(self.seen_sites) >= self.n:
-            return 0
-        mode, c, spent = self._state
-        j = min(most, self.guess - spent)
-        self._state = (mode, c, spent + j)
-        return j
-
-    def _restart(self, cur: str) -> None:
+    def _restart(self, cur: str, t: int) -> None:
         if self._state is not None:
             self.guess *= 2
         self._home = cur
         self._known = {cur}
         self._parent = {}
-        self._state = ("explore", cur, 0)
+        self._state = ("explore", cur, t)
 
 
 # ---------------------------------------------------------------------------

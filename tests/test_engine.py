@@ -160,6 +160,7 @@ def _records():
     return [
         Observation(0, "c0", frozenset({"c0", "c1"}), "a"),
         Ride("c1"),
+        Ride("c1", 2),
         step,
         Trace("c0", (step,), True, ("a", "b")),
     ]
@@ -178,7 +179,8 @@ def test_records_are_immutable():
 def test_records_with_equal_fields_are_equal_and_hash_alike():
     for a, b in zip(_records(), _records()):
         assert a is not b and a == b and hash(a) == hash(b)
-    assert isinstance(Ride("c1"), Ride) and Ride("c1") == ("c1",)
+    assert isinstance(Ride("c1"), Ride) and Ride("c1") == ("c1", 1) == Ride("c1", 1)
+    assert Ride("c1", 2) == ("c1", 2) and Ride("c1", 2) != Ride("c1")
     assert Ride("c1") != Ride("c2") and HALT != Ride("c1")
 
 
@@ -456,33 +458,31 @@ def test_trace_covers_the_universe_of_the_routeset():
 
 
 class DecideOnly:
-    """Shows `run` only a strategy's `decide`, so it is asked at every instant."""
+    """Passes on a strategy's actions one move at a time, so it is asked at every instant."""
 
     def __init__(self, inner):
         self.inner = inner
 
     def decide(self, obs: Observation):
-        return self.inner.decide(obs)
+        action = self.inner.decide(obs)
+        return Ride(action.carrier) if isinstance(action, Ride) else action
 
 
 class RideOn:
-    """Rides its carrier forever, skipping every lone stretch it is offered."""
+    """Rides its carrier forever, asking for `moves` moves at a time."""
 
-    def __init__(self, answer=lambda most: most):
-        self.answer = answer  # how many of the `most` lone instants to ride through
-        self.offers = []
+    def __init__(self, moves=10**9):
+        self.moves = moves
+        self.asked = []  # the instants it was asked at
 
     def decide(self, obs: Observation):
-        return Ride(obs.current_carrier)
-
-    def advance(self, obs: Observation, most: int) -> int:
-        self.offers.append((obs.time, most))
-        return self.answer(most)
+        self.asked.append(obs.time)
+        return Ride(obs.current_carrier, self.moves)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_advance_matches_deciding_every_instant(data):
+def test_long_rides_match_deciding_every_instant(data):
     n = data.draw(st.integers(1, 10), label="n")
     k = data.draw(st.integers(1, 4), label="k")
     shared = data.draw(st.none() | st.integers(1, 8), label="shared period")
@@ -502,42 +502,75 @@ def test_advance_matches_deciding_every_instant(data):
         bound = data.draw(st.integers(1, rs.max_period + 2), label="B")
         known = data.draw(st.booleans(), label="homogeneous_known")
         make = lambda: HitchARide(bound, homogeneous_known=known)
-    skipping, deciding = make(), make()
-    limit = default_move_limit(rs, skipping)
-    assert run(rs, skipping, start, limit) == run(rs, DecideOnly(deciding), start, limit)
-    assert vars(skipping) == vars(deciding)
+    riding, deciding = make(), make()
+    limit = default_move_limit(rs, riding)
+    assert run(rs, riding, start, limit) == run(rs, DecideOnly(deciding), start, limit)
+    assert vars(riding) == vars(deciding)
 
 
 def test_a_skip_records_every_first_visit_it_crosses_in_order():
     rs = rs_of(["a", "b", "c", "d", "e"], ["a", "x"], mode=ANONYMOUS)
-    offers = []
-
-    class Offered(HitchARide):
-        def advance(self, obs, most):
-            j = super().advance(obs, most)
-            offers.append((obs.time, most, j))
-            return j
-
-    tr = run(rs, Offered(5), "c0")
-    assert (1, 4, 4) in offers  # one call rode from b over c, d, e back to a
-    assert tr == run(rs, DecideOnly(HitchARide(5)), "c0")
-    assert tr.visited_sites[:5] == ("a", "b", "c", "d", "e")
+    rider = RideOn()
+    tr = run(rs, rider, "c0", move_limit=12)
+    # c1 is listed at phase 0 only: one ask rode from b over c, d, e back to a
+    assert rider.asked == [0, 1, 5, 6, 10, 11]
+    assert tr == run(rs, DecideOnly(RideOn()), "c0", move_limit=12)
+    assert tr.visited_sites == ("a", "b", "c", "d", "e")
 
 
 def test_a_move_limit_inside_a_skip_cuts_the_same_partial_trace():
     rs = rs_of(["a", "b", "c", "d", "e"], mode=ANONYMOUS)
-    skipping = RideOn()
-    tr = run(rs, skipping, "c0", move_limit=7)
-    assert skipping.offers == [(0, 5), (5, 2)]  # the second lone stretch is cut to the limit
+    rider = RideOn()
+    tr = run(rs, rider, "c0", move_limit=7)
+    assert rider.asked == [0, 5]  # a lone stretch is one lap; the second is cut to the limit
     assert tr.move_limit_exceeded and not tr.halted and tr.moves == 7
     assert tr == run(rs, DecideOnly(RideOn()), "c0", move_limit=7)
 
 
-@pytest.mark.parametrize("answer", [lambda most: most + 1, lambda most: -1])
-def test_advance_outside_zero_to_most_is_illegal(answer):
+@pytest.mark.parametrize("moves", [0, -1, 2.5, "3", True])
+def test_a_ride_of_other_than_a_positive_int_of_moves_is_illegal(moves):
     rs = rs_of(["a", "b", "c"], mode=ANONYMOUS)
-    with pytest.raises(IllegalAction, match="advance returned"):
-        run(rs, RideOn(answer), "c0", move_limit=10)
+    with pytest.raises(IllegalAction, match="moves"):
+        run(rs, RideOn(moves), "c0", move_limit=10)
+
+
+class DecideProxy:
+    """Forwards only `decide`, as a timing wrapper does, and not `move_bound`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def decide(self, obs: Observation):
+        return self.inner.decide(obs)
+
+
+def counted(cls):
+    """`cls` with a count of its `decide` calls."""
+
+    class Counted(cls):
+        calls = 0
+
+        def decide(self, obs):
+            self.calls += 1
+            return super().decide(obs)
+
+    return Counted
+
+
+@pytest.mark.parametrize("kind", ["hitch", "guess"])
+def test_a_wrapper_that_forwards_only_decide_keeps_the_long_rides(kind):
+    inst = make_instance("sihe", 36, 4)
+    rs = inst.routeset
+    if kind == "hitch":
+        make = lambda: counted(HitchARide)(rs.max_period, homogeneous_known=is_homogeneous(rs))
+    else:
+        make = lambda: counted(GuessingRide)(rs.n)
+    bare, wrapped = make(), make()
+    limit = default_move_limit(rs, bare)
+    tr = run(rs, bare, inst.start, limit)
+    assert tr.halted and tr.covers(rs)
+    assert tr == run(rs, DecideProxy(wrapped), inst.start, limit)
+    assert bare.calls == wrapped.calls < tr.moves / 10
 
 
 def reference_fault(rs, trace):
