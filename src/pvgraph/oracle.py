@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .core import IDS, RouteSet, is_homogeneous
@@ -26,7 +27,9 @@ def min_moves(
 ) -> int | None:
     """Fewest moves to visit every site starting on `start_carrier` at t=0.
 
-    Returns None when no walk from that start ever covers the system.
+    The first move may board any carrier at the start, so the optimum depends
+    only on the start carrier's site at t=0. Returns None when no walk from
+    that start ever covers the system.
     Raises StateSpaceTooLarge once more than `state_cap` states are stored.
     """
     start = routeset.carrier(start_carrier)
@@ -65,12 +68,22 @@ def min_moves(
     return None
 
 
+def _per_start(routeset: RouteSet, state_cap: int) -> Iterator[tuple[str, int | None]]:
+    """Yield (carrier id, optimum) in carrier order, searching each start site once."""
+    by_site: dict[str, int | None] = {}
+    for c in routeset.carriers:
+        site = c.route.at(0)
+        if site not in by_site:
+            by_site[site] = min_moves(routeset, c.id, state_cap)
+        yield c.id, by_site[site]
+
+
 def exact_feasible(routeset: RouteSet, state_cap: int = DEFAULT_STATE_CAP) -> bool:
-    """Ground truth for feasibility: every start carrier admits a cover."""
-    return all(
-        min_moves(routeset, c.id, state_cap) is not None
-        for c in routeset.carriers
-    )
+    """Ground truth for feasibility: every start site admits a cover.
+
+    Stops at the first start site, in carrier order, that admits none.
+    """
+    return all(opt is not None for _, opt in _per_start(routeset, state_cap))
 
 
 @dataclass
@@ -125,14 +138,14 @@ def race(routeset: RouteSet, start: str) -> dict[str, Trace]:
 
 
 def audit(instance, state_cap: int = DEFAULT_STATE_CAP) -> BoundReport:
-    """Search the instance from every start and race the strategies from its own.
+    """Search the instance from every start site and race the strategies from its own.
 
     `instance` is an Instance from the generator module (kept untyped here
     to leave this module importable on its own).
     """
     rs = instance.routeset
     rs.carrier(instance.start)  # an unknown start is a ParameterViolation
-    per_start = {c.id: min_moves(rs, c.id, state_cap) for c in rs.carriers}
+    per_start = dict(_per_start(rs, state_cap))
     report = BoundReport(
         family=instance.family,
         parameters=instance.param_dict,

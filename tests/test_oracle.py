@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvgraph import (
+    ANONYMOUS,
     BoundReport,
     IDS,
     Instance,
@@ -117,6 +118,71 @@ def test_audit_searches_each_start_once(monkeypatch):
     report = audit(make_instance("thm8", 13, 3))
     assert calls == ["c0", "c1", "c2"]
     assert report.oracle_optimum == 62 and report.oracle_max_over_starts == 62
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """The start carriers of every `min_moves` call the oracle makes, in order."""
+    import pvgraph.oracle as oracle
+
+    calls = []
+    search = oracle.min_moves
+
+    def counted(rs, start, state_cap=None):
+        calls.append(start)
+        return search(rs, start, state_cap)
+
+    monkeypatch.setattr(oracle, "min_moves", counted)
+    return calls
+
+
+def test_audit_searches_a_shared_start_site_once(search_calls):
+    # all seven carriers of the hub family start on x0
+    report = audit(make_instance("thm7", 15, 7))
+    assert search_calls == ["c0"]
+    assert report.oracle_max_over_starts == report.oracle_optimum == 104
+
+
+def test_exact_feasible_stops_at_the_first_uncoverable_site(search_calls):
+    # c0 never reaches c, and c1 never leaves it
+    assert not exact_feasible(rs_of(["a", "b"], ["c"]))
+    assert search_calls == ["c0"]
+
+
+def test_exact_feasible_searches_each_start_site_once(search_calls):
+    # c0 and c1 never meet; c2 meets c0 on a and c1 on c, and starts beside c0
+    rs = rs_of(["a", "b"], ["b", "c"], ["a", "c"])
+    assert exact_feasible(rs) and is_feasible(rs)
+    assert search_calls == ["c0", "c1"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_per_site_search_matches_a_search_from_every_carrier(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    p = data.draw(st.integers(max(1, -(-n // k)), 6), label="p_max")
+    raw = random_routeset_raw(n, k, p, data.draw(st.integers(0, 2 ** 30), label="seed"))
+    routes = [(c.id, c.route.sites) for c in raw.carriers]
+    if data.draw(st.booleans(), label="twin"):
+        # a copy of some carrier, placed anywhere, shares its start site
+        twin = data.draw(st.sampled_from(routes), label="copied")
+        routes.insert(data.draw(st.integers(0, k), label="at"), (f"c{k}", twin[1]))
+    rs = RouteSet.from_routes(routes, data.draw(st.sampled_from([IDS, ANONYMOUS])), raw.sites)
+    inst = Instance(  # as `pvg oracle` builds it
+        family="random",
+        params=(("n", rs.n), ("k", rs.k), ("p", rs.max_period)),
+        routeset=rs,
+        bound=None,
+        start=data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start"),
+    )
+    plain = {c.id: min_moves(rs, c.id) for c in rs.carriers}
+    report = audit(inst)
+    uncoverable = None in plain.values()
+    assert report.oracle_optimum == plain[inst.start]
+    assert report.oracle_max_over_starts == (None if uncoverable else max(plain.values()))
+    assert ("some start carrier cannot cover the system" in report.notes) == uncoverable
+    assert exact_feasible(rs) == (not uncoverable)
 
 
 def test_unknown_start_carrier_is_a_parameter_violation():
