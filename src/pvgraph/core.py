@@ -180,6 +180,11 @@ class Schedule:
     company. `cycles[c]` is carrier c's route as site names, twice over, so
     that the sites of any p_c consecutive phases from phase i are the one
     slice `cycles[c][i:i + p_c]`. These hold O(Σp) entries.
+
+    `company` and `quiet` are the engine's skip hints, not its stopping rule:
+    a listed carrier may stand elsewhere at a given instant. A lone ride jumps
+    each quiet stretch, checks only the listed carriers at the other phases,
+    and stops where one of them actually stands on the site.
     """
 
     routes: tuple[tuple[int, ...], ...]

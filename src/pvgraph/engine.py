@@ -7,6 +7,7 @@ way to wait at a site.
 """
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -49,12 +50,13 @@ class Strategy(Protocol):
 
     A `Ride(carrier, moves)` that keeps the current carrier may ride on alone
     through many instants: `run` makes up to `moves` moves before it asks
-    again. It stops at the first instant whose phase lists company in the
-    schedule, at the first site the walk has not seen (with site identities),
-    at the move limit, or after `moves` moves, whichever comes first; a switch
-    or an instant that lists company makes one move. The strategy reads how
-    far it got from the next observation's `time`, so it must answer exactly
-    as it would have at each instant skipped. `moves` must be an `int >= 1`.
+    again. It stops at the first instant another carrier actually shares the
+    agent's site, after one lap of the carrier's route, at the first site the
+    walk has not seen (with site identities), at the move limit, or after
+    `moves` moves, whichever comes first; a switch, or an instant with company
+    on the site, makes one move. The strategy reads how far it got from the
+    next observation's `time`, so it must answer exactly as it would have at
+    each instant skipped. `moves` must be an `int >= 1`.
     """
 
     def decide(self, obs: Observation) -> Action: ...
@@ -221,9 +223,21 @@ def run(
         if d != c:  # a switch: one move on the new carrier
             c = d
             phase = t % periods[c]
-        elif moves > 1 and not mates:
-            # riding on alone: stop at listed company, an unseen site or the limit
-            j = min(moves, quiet[c][phase], move_limit - t)
+        elif moves > 1 and len(arriving) == 1:
+            # riding on alone: stop where another carrier stands on the site, after
+            # one lap, at an unseen site or at the limit; quiet phases are jumped
+            p = periods[c]
+            most = min(moves, p, move_limit - t)
+            lone, listed, route = quiet[c], company[c], routes[c]
+            while j < most:
+                i = (phase + j) % p
+                if lone[i]:
+                    j += lone[i]
+                elif any(routes[e][(t + j) % periods[e]] == route[i] for e in listed[i]):
+                    break
+                else:
+                    j += 1
+            j = min(j, most)
             if expose_sites:  # the instants after t must stand on seen sites
                 ahead = cycles[c][phase + 1:phase + j]
                 if not seen.issuperset(ahead):
@@ -262,18 +276,30 @@ def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
 
 
 CSV_HEADER = "step,time,carrier,from,to,new_site"
-CSV_BLOCK = 4096  # rows laid out and joined at a time
+CSV_BLOCK = 1000  # rows laid out and joined at a time; a power of ten
+
+
+@functools.cache
+def _csv_digits(block: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The step numbers below `block`, each with its comma: bare (`"7,"`) for
+    block 0, and zero-padded (`"007,"`) to follow a later block's prefix."""
+    width = len(str(block - 1))
+    return tuple(f"{i}," for i in range(block)), tuple(f"{i:0{width}}," for i in range(block))
 
 
 def trace_to_csv(trace: Trace) -> str:
     """One row per move; new_site flags first arrivals.
 
     Each block of `CSV_BLOCK` rows is laid out by column: a list of eight
-    pieces a row, prefilled with commas, takes the step numbers (for step and
-    time), carriers, departures and one `",to,0\n"` end a row by slice
-    assignment, and only the first arrivals' ends are patched to `",to,1\n"`.
-    Blocks are joined one at a time, so the peak stays near twice the CSV's
-    size; a list of every row string would hold over four times it.
+    pieces a row, prefilled with commas, takes by slice assignment two pieces
+    for the step and two for the time, then the carriers, departures and one
+    `",to,0\n"` end a row, and only the first arrivals' ends are patched to
+    `",to,1\n"`. Step i is the block's prefix `str(i // CSV_BLOCK)`, empty in
+    block 0, and the digit table's entry for `i % CSV_BLOCK` with its comma,
+    zero-padded after a prefix; so no row calls `str()`, and `CSV_BLOCK` must
+    be a power of ten. Blocks are joined one at a time, so the peak stays near
+    twice the CSV's size; a list of every row string would hold over four
+    times it.
     """
     walk = trace.steps
     carriers, froms, tos = walk.carriers, walk.froms, walk.tos
@@ -283,11 +309,14 @@ def trace_to_csv(trace: Trace) -> str:
     if trace.visited_sites:  # arriving back at the start is not new
         first.pop(trace.visited_sites[0], None)
     new = sorted(first.values(), reverse=True)  # popped in step order
+    bare, padded = _csv_digits(CSV_BLOCK)
     blocks = [CSV_HEADER + "\n"]
     for o in range(0, m, CSV_BLOCK):
         e = min(o + CSV_BLOCK, m)
-        pieces = [","] * (8 * (e - o))
-        pieces[0::8] = pieces[2::8] = list(map(str, range(o, e)))
+        n = e - o
+        pieces = [","] * (8 * n)
+        pieces[0::8] = pieces[2::8] = [str(o // CSV_BLOCK) if o else ""] * n
+        pieces[1::8] = pieces[3::8] = (padded if o else bare)[:n]
         pieces[4::8] = carriers[o:e]
         pieces[6::8] = froms[o:e]
         pieces[7::8] = map(ends.__getitem__, tos[o:e])

@@ -333,7 +333,7 @@ def reference_csv(trace: Trace) -> str:
     return "".join(rows)
 
 
-@pytest.mark.parametrize("block", [3, pvgraph.engine.CSV_BLOCK])
+@pytest.mark.parametrize("block", [10, pvgraph.engine.CSV_BLOCK])  # powers of ten
 @pytest.mark.parametrize("span", ["short", "B-1", "B", "B+1", "2B+1"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -367,6 +367,26 @@ def test_csv_matches_the_row_by_row_reference(block, span, data):
     tr = Trace("c0", Walk(carriers, froms, tos), False, visited)
     with mock.patch.object(pvgraph.engine, "CSV_BLOCK", block):
         assert trace_to_csv(tr).encode() == reference_csv(tr).encode()
+
+
+@pytest.mark.parametrize("block", [10, 100])
+def test_csv_step_numbers_cross_every_digit_count_of_the_block_prefix(block):
+    # with 10 rows a block, the prefix runs "", "1", ..., "9", "10", ..., "99", "100", ...,
+    # "999", "1000", ..., "1004"; with 100, the table entries after it are zero-padded ("07,")
+    m = 10_050
+    sites = "abcdefg"
+    tos = [sites[(i * i) % 7] for i in range(m)]
+    tos[9_995] = tos[10_000] = "x"  # a late first arrival, and a return to it, in block 1000
+    froms = ["a", *tos[:-1]]
+    carriers = [f"c{i % 3}" for i in range(m)]
+    tr = Trace("c0", Walk(carriers, froms, tos), False, tuple(dict.fromkeys(["a", *tos])))
+    with mock.patch.object(pvgraph.engine, "CSV_BLOCK", block):
+        csv = trace_to_csv(tr)
+    assert csv.encode() == reference_csv(tr).encode()
+    rows = csv.splitlines()
+    assert rows[91] == f"90,90,c0,{froms[90]},{tos[90]},0"
+    assert rows[10_001].startswith("10000,10000,")
+    assert rows[9_996].endswith(",x,1") and rows[10_001].endswith(",x,0")
 
 
 def test_run_stores_a_move_in_under_64_bytes():
@@ -512,10 +532,42 @@ def test_a_skip_records_every_first_visit_it_crosses_in_order():
     rs = rs_of(["a", "b", "c", "d", "e"], ["a", "x"], mode=ANONYMOUS)
     rider = RideOn()
     tr = run(rs, rider, "c0", move_limit=12)
-    # c1 is listed at phase 0 only: one ask rode from b over c, d, e back to a
-    assert rider.asked == [0, 1, 5, 6, 10, 11]
+    # c1 is listed at phase 0 only, and stands on a at even instants: at t=5 it is on x,
+    # so one ask rides a whole lap from b to b, and the ask at t=6 stops at t=10 on a
+    assert rider.asked == [0, 1, 6, 10, 11]
     assert tr == run(rs, DecideOnly(RideOn()), "c0", move_limit=12)
     assert tr.visited_sites == ("a", "b", "c", "d", "e")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_lone_ride_stops_where_company_stands_and_nowhere_it_need_not(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    routes = [
+        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8), label=f"c{i}")
+        for i in range(k)
+    ]
+    mode = data.draw(st.sampled_from([IDS, ANONYMOUS]), label="mode")
+    rs = rs_of(*[[f"s{x}" for x in r] for r in routes], mode=mode)
+    start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
+    limit = data.draw(st.integers(1, 80), label="limit")
+    rider = RideOn()
+    tr = run(rs, rider, start, move_limit=limit)
+    assert tr == run(rs, DecideOnly(RideOn()), start, move_limit=limit)
+    p = rs.by_id[start].route.period
+    here = [rs.by_id[start].route.at(0), *tr.steps.tos]  # the agent's site at each instant
+    met = [len(carriers_at(rs, u, here[u])) > 1 for u in range(tr.moves)]
+    new = [u == 0 or here[u] not in here[:u] for u in range(tr.moves)]
+    asked = set(rider.asked)
+    assert rider.asked[0] == 0 and rider.asked == sorted(asked)
+    assert all(u in asked for u in range(tr.moves) if met[u])  # asked wherever company stands
+    for a, u in zip(rider.asked, [*rider.asked[1:], tr.moves]):
+        assert u - a <= p  # at most one lap between two asks
+        # and no ask it could have skipped: after company, a lap, company, an unseen site or the limit
+        assert met[a] and u == a + 1 or u - a == p or u == tr.moves or met[u] or (
+            mode == IDS and new[u]
+        ), (a, u)
 
 
 def test_a_move_limit_inside_a_skip_cuts_the_same_partial_trace():
