@@ -3,7 +3,9 @@
 Exit codes: 0 success (explore: covered and halted; forge: verdict true),
 1 audit violation / uncovered halt, 2 bad parameters or an oversized search,
 3 move limit or a strategy that never halts, 4 strategy needs site identities,
-5 unparseable or semantically broken input file.
+5 unparseable or semantically broken input file. An error that escapes a
+command exits with the `exit_code` of its class (`errors.py`); a
+`ValueError` or `OSError` exits 2.
 """
 from __future__ import annotations
 
@@ -15,14 +17,7 @@ from pathlib import Path
 from . import fileformat
 from .core import is_feasible, is_homogeneous, is_irredundant, is_simple
 from .engine import run, summary_line, trace_to_csv
-from .errors import (
-    NotIdMode,
-    ParseError,
-    PVGraphError,
-    StateSpaceTooLarge,
-    StrategyDidNotHalt,
-    UnreachableSite,
-)
+from .errors import PVGraphError, StateSpaceTooLarge
 from .instances import FAMILIES, Instance, forge_thm1, forge_thm2, get_family, make_instance
 from .oracle import DEFAULT_STATE_CAP, audit, min_moves, race
 from .strategies import (
@@ -257,21 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, UnreachableSite) as exc:
-        print(str(exc), file=sys.stderr)
-        return 5
-    except NotIdMode as exc:
-        print(str(exc), file=sys.stderr)
-        return 4
-    except StrategyDidNotHalt as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    except StateSpaceTooLarge as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except (PVGraphError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -304,11 +304,14 @@ def trace_to_csv(trace: Trace) -> str:
     walk = trace.steps
     carriers, froms, tos = walk.carriers, walk.froms, walk.tos
     m = len(tos)
-    first = dict(zip(reversed(tos), range(m - 1, -1, -1)))  # each site's first arrival
+    first = {}  # each site's first arrival, in step order
+    i = -1
+    for site in dict.fromkeys(tos):
+        first[site] = i = tos.index(site, i + 1)
     ends = dict(zip(first, map(",{},0\n".format, first)))
     if trace.visited_sites:  # arriving back at the start is not new
         first.pop(trace.visited_sites[0], None)
-    new = sorted(first.values(), reverse=True)  # popped in step order
+    new = list(reversed(first.values()))  # popped in step order
     bare, padded = _csv_digits(CSV_BLOCK)
     blocks = [CSV_HEADER + "\n"]
     for o in range(0, m, CSV_BLOCK):

@@ -1,13 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code the CLI returns when it escapes a command.
+"""
 from __future__ import annotations
 
 
 class PVGraphError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2
+
 
 class UnreachableSite(PVGraphError):
     """A declared site appears on no route; the system is trivially uncoverable."""
+
+    exit_code = 5
 
 
 class InconsistentWalk(PVGraphError):
@@ -20,6 +27,8 @@ class IllegalAction(PVGraphError):
 
 class NotIdMode(PVGraphError):
     """A strategy requiring site identities ran on an anonymous system."""
+
+    exit_code = 4
 
 
 class ParameterViolation(PVGraphError):
@@ -37,6 +46,8 @@ class NoCoprimePair(ParameterViolation):
 class StrategyDidNotHalt(PVGraphError):
     """A forge run hit the move limit before the strategy halted."""
 
+    exit_code = 3
+
 
 class StateSpaceTooLarge(PVGraphError):
     """Exact search stored more states than the cap allows; carries the count."""
@@ -49,6 +60,8 @@ class StateSpaceTooLarge(PVGraphError):
 
 class ParseError(PVGraphError):
     """Route-set file syntax or semantic error, with 1-based position."""
+
+    exit_code = 5
 
     def __init__(self, message: str, line: int, column: int = 1):
         super().__init__(f"line {line}, column {column}: {message}")

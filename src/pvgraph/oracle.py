@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .core import IDS, RouteSet, is_homogeneous
 from .engine import Trace, run
@@ -108,18 +108,7 @@ class BoundReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "parameters": self.parameters,
-                "theoretical_lower_bound": self.theoretical_lower_bound,
-                "oracle_optimum": self.oracle_optimum,
-                "oracle_max_over_starts": self.oracle_max_over_starts,
-                "strategy_moves": self.strategy_moves,
-                "notes": self.notes,
-                "violation": self.violation(),
-            }
-        )
+        return json.dumps({**asdict(self), "violation": self.violation()})
 
 
 def race(routeset: RouteSet, start: str) -> dict[str, Trace]:

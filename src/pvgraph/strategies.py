@@ -24,16 +24,17 @@ from .errors import NotIdMode
 class HitchARide:
     """Anonymous exploration with a period bound B.
 
-    Rides each newly reached carrier for B' steps (B if the system is known
-    homogeneous, else B*B) — long enough to meet every carrier it ever meets,
-    since a pair sharing a site does so once per lcm of their periods. New
-    carriers met during such a visit become pending children; finished
-    carriers hand the agent back to their parent. With B >= max period on a
-    coverable system this halts after visiting the whole meeting-graph
-    component, within (3k-2)*B' moves.
+    Grows a spanning tree of the meeting graph in two modes. A visit rides a
+    newly reached carrier for B' moves (B if the system is known homogeneous,
+    else B*B), long enough to meet every carrier it ever meets, since a pair
+    sharing a site does so once per lcm of their periods; carriers first met
+    on a visit become its pending children. A seek then rides that carrier
+    on, B' moves a stop, until a pending child shares its site, to visit it,
+    or, with no child left, its parent does. The root with no child left
+    halts: a carrier hands the agent back only when none it met is pending,
+    so by then none is pending anywhere. With B >= max period on a coverable
+    system this covers the meeting-graph component within (3k-2)*B' moves.
     """
-
-    name = "hitch"
 
     def __init__(self, bound: int, homogeneous_known: bool = False):
         if bound < 1:
@@ -41,80 +42,54 @@ class HitchARide:
         self.bound = bound
         self.homogeneous_known = homogeneous_known
         self.visit_len = bound if homogeneous_known else bound * bound
-        self._home: str | None = None
-        self._visited: set[str] = set()
+        self._parent: dict[str, str | None] = {}  # every carrier visited so far
+        self._nbrs: dict[str, set[str]] = {}  # carriers each visit met first
         self._pending: set[str] = set()  # met but not yet visited
-        self._nbrs: dict[str, set[str]] = {}
-        self._parent: dict[str, str | None] = {}
-        # (mode, carrier, end): mode in visit/seek_child/seek_parent/forever;
-        # `end` is the instant a visit ends, 0 otherwise
-        self._state: tuple[str, str, int] | None = None
+        # (carrier, end): `end` is the instant its visit ends, None while seeking
+        self._state: tuple[str, int | None] | None = None
 
     def move_bound(self, routeset: RouteSet) -> int:
         """(3k-2)*B': the proved cap on its moves when B bounds every period."""
         return (3 * routeset.k - 2) * self.visit_len
 
     def decide(self, obs: Observation) -> Action:
-        cur = obs.current_carrier
         if self._state is None:
-            self._home = cur
-            self._pending = {cur}
-            self._parent[cur] = None
-            self._nbrs[cur] = set()
-            self._state = ("visit", cur, obs.time + self.visit_len)
-
-        mode, c, end = self._state
-        if mode == "visit":
-            # record first meetings; seeks deliberately don't, so every
-            # pending carrier is charged to exactly one visit (tree edges)
-            met = obs.arriving_carriers.difference(self._visited, self._pending)
-            if met:
-                self._pending |= met
-                self._nbrs[c] |= met
-            if obs.time < end:
-                return Ride(c, end - obs.time)
-            self._visited.add(c)
-            self._pending.discard(c)
+            self._enter(None, obs.current_carrier, obs.time)
+        c, end = self._state
+        if end is None:
             return self._dispatch(c, obs)
-        # a seek ends within B' instants, and alone it only rides on
-        if mode == "seek_child":
-            want = self._nbrs[c] & self._pending & obs.arriving_carriers
-            if want:
-                return self._board_child(c, min(want), obs)
-            return Ride(c, self.visit_len)
-        if mode == "seek_parent":
-            par = self._parent[c]
-            if par is not None and par in obs.arriving_carriers:
-                return self._dispatch(par, obs)
-            return Ride(c, self.visit_len)
-        return Ride(cur, self.visit_len)  # forever: nothing reachable is left, let the limit fire
+        # record first meetings; seeks deliberately don't, so every pending
+        # carrier is charged to exactly one visit (tree edges)
+        met = obs.arriving_carriers.difference(self._parent, self._pending)
+        if met:
+            self._pending |= met
+            self._nbrs[c] |= met
+        if obs.time < end:
+            return Ride(c, end - obs.time)
+        return self._dispatch(c, obs)
 
-    def _board_child(self, parent: str, child: str, obs: Observation) -> Action:
-        self._parent[child] = parent
-        self._nbrs[child] = {parent}
-        # the switch itself is the first of the child's B' visit moves
-        self._state = ("visit", child, obs.time + self.visit_len)
-        return Ride(child)
+    def _enter(self, parent: str | None, c: str, t: int) -> None:
+        self._parent[c] = parent
+        self._nbrs[c] = set()
+        self._pending.discard(c)
+        self._state = (c, t + self.visit_len)
 
     def _dispatch(self, c: str, obs: Observation) -> Action:
-        """Pick the next leg for a just-finished carrier c (agent is on c's site)."""
-        targets = self._nbrs.get(c, set()) & self._pending
-        if targets:
-            here = targets & obs.arriving_carriers
-            if here:
-                return self._board_child(c, min(here), obs)
-            self._state = ("seek_child", c, 0)
-            return Ride(c, self.visit_len)
-        if c == self._home:
-            if not self._pending:
-                return HALT
-            self._state = ("forever", c, 0)
-            return Ride(c, self.visit_len)
-        par = self._parent[c]
-        if par is not None and par in obs.arriving_carriers:
-            return self._dispatch(par, obs)  # collapse multi-hop returns
-        # ride c itself: only c's own route guarantees meeting its parent
-        self._state = ("seek_parent", c, 0)
+        """Pick the next leg for carrier c, whose visit is over (agent is on c's site)."""
+        targets = self._nbrs[c] & self._pending
+        here = targets & obs.arriving_carriers
+        if here:
+            child = min(here)
+            self._enter(c, child, obs.time)
+            return Ride(child)  # the switch itself is the first of the child's B' visit moves
+        if not targets:
+            par = self._parent[c]
+            if par is None:
+                return HALT  # the root: no carrier is pending anywhere
+            if par in obs.arriving_carriers:
+                return self._dispatch(par, obs)  # collapse multi-hop returns
+        # seek: only c's own route guarantees meeting the carrier it waits for
+        self._state = (c, None)
         return Ride(c, self.visit_len)
 
 
@@ -132,8 +107,6 @@ class GuessingRide:
     wherever the agent is, keeping only the set of sites seen. Halts the
     instant that set reaches n.
     """
-
-    name = "guess"
 
     def __init__(self, n: int, g0: int | None = None):
         if n < 1:
@@ -181,8 +154,8 @@ class GuessingRide:
                 self._state = ("backtrack", c, t)
                 continue
             # backtrack: parent first, then anything new, then exhaustion
-            par = self._parent.get(c)
-            if par is not None and par in obs.arriving_carriers:
+            par = self._parent[c]
+            if par in obs.arriving_carriers:
                 self._state = ("explore", par, t)
                 return Ride(par)
             if obs.arriving_carriers - self._known or spent >= self.guess:
@@ -206,8 +179,6 @@ class GuessingRide:
 class FixedStepHalt:
     """Rides its start carrier for a fixed number of moves, then halts."""
 
-    name = "fixed-step"
-
     def __init__(self, moves: int):
         self.left = moves
 
@@ -220,8 +191,6 @@ class FixedStepHalt:
 
 class NoNewCarrierTimeout:
     """Halts once `window` consecutive moves pass without a new carrier id."""
-
-    name = "no-new-carrier"
 
     def __init__(self, window: int):
         self.window = window
@@ -241,8 +210,6 @@ class NoNewCarrierTimeout:
 
 class RideLegsHalt:
     """Rides fixed-length legs, hopping to an unridden carrier between legs."""
-
-    name = "ride-legs"
 
     def __init__(self, leg_len: int, legs: int):
         self.leg_len = leg_len
@@ -268,8 +235,6 @@ class RideLegsHalt:
 class NoNewSiteTimeout:
     """Halts once `window` consecutive moves show no first-seen site."""
 
-    name = "no-new-site"
-
     def __init__(self, window: int):
         self.window = window
         self.quiet = 0
@@ -290,8 +255,6 @@ class NoNewSiteTimeout:
 
 class SiteRevisitHalt:
     """Halts once any single site has been observed `times` times."""
-
-    name = "revisit-count"
 
     def __init__(self, times: int):
         self.times = times

@@ -45,6 +45,12 @@ def test_generate_emit_bound(tmp_path, capsys):
     assert text.rstrip().endswith("# bound 61")
 
 
+def test_generate_emit_bound_on_a_family_without_one_exits_2(capsys):
+    code, out, err = run_cli(capsys, "generate", "--family", "random", "--n", "6", "--k", "2", "--emit-bound")
+    assert code == 2
+    assert out == "" and "no bound" in err
+
+
 def test_generate_rejects_bad_parameters(capsys):
     code, _, err = run_cli(capsys, "generate", "--family", "thm3", "--n", "8", "--k", "3", "--p", "4")
     assert code == 2
@@ -283,6 +289,14 @@ def test_forge_thm2_emits_extended_system(capsys):
     assert code == 0
     rep = json.loads(out)
     assert loads(rep["gprime"]).n == 5
+
+
+def test_forge_target_cut_off_by_the_move_limit_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys, "forge", "--thm", "1", "--strategy", "fixed-step", "--n", "6", "--k", "3", "--move-limit", "2"
+    )
+    assert code == 3
+    assert out == "" and "still riding after 2 moves" in err
 
 
 def test_forge_unknown_strategy_exits_2(capsys):

@@ -518,7 +518,7 @@ def test_long_rides_match_deciding_every_instant(data):
         g0 = data.draw(st.integers(1, 12), label="g0")
         make = lambda: GuessingRide(rs.n, g0)
     else:
-        # B < p leaves carriers unmet: such runs end riding forever, cut off by the limit
+        # B < p may leave carriers unmet: such runs still halt, some without covering
         bound = data.draw(st.integers(1, rs.max_period + 2), label="B")
         known = data.draw(st.booleans(), label="homogeneous_known")
         make = lambda: HitchARide(bound, homogeneous_known=known)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvgraph import (
     GuessingRide,
@@ -78,6 +79,31 @@ def test_hitch_visits_every_meeting_neighbor():
     boarded = {s.carrier for s in tr.steps}
     mg = build_meeting_graph(rs)
     assert boarded >= mg.neighbors(inst.start) | {inst.start}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hitch_halts_before_the_move_limit_whatever_its_bound(data):
+    # a seek waits for a carrier its own route meets again, and the root halts
+    # once none it met is pending, so no run rides on until the limit cuts it off
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    routes = [
+        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=7), label=f"c{i}")
+        for i in range(k)
+    ]
+    rs = rs_of(*[[f"s{x}" for x in r] for r in routes], mode=ANONYMOUS)
+    start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
+    bound = data.draw(st.integers(1, rs.max_period + 2), label="B")
+    known = data.draw(st.booleans(), label="homogeneous_known")
+    hitch = HitchARide(bound, homogeneous_known=known)
+    tr = run(rs, hitch, start)
+    assert tr.halted and not tr.move_limit_exceeded
+    if bound >= rs.max_period and (is_homogeneous(rs) or not known):
+        # an honest bound: the whole meeting-graph component, within (3k-2)B' moves
+        comp = next(c for c in build_meeting_graph(rs).components() if start in c)
+        assert set(tr.visited_sites) == {s for c in comp for s in rs.carrier(c).route.domain}
+        assert tr.moves <= hitch.move_bound(rs)
 
 
 def test_guess_halts_the_instant_count_is_reached():
