@@ -245,18 +245,16 @@ def is_irredundant(route: Route) -> bool:
     reverse pairs its p directed edges into p/2 undirected ones, so at
     p = 2(d-1) those are the d-1 edges of a tree.
     """
-    if not is_simple(route):
-        return False
     s = route.sites
     d = len(route.domain)
     p = len(s)
+    if p not in (d, 2 * (d - 1)) or not is_simple(route):  # the O(1) period shape before the edge scan
+        return False
     if p == d:
         ok = True  # simple cycle: every site exactly once
-    elif p == 2 * (d - 1):
+    else:
         nxt = s[1:] + s[:1]
         ok = set(zip(s, nxt)) == set(zip(nxt, s))  # closed tree walk: each edge once per direction
-    else:
-        ok = False
     assert not ok or p <= 2 * (d - 1), "irredundant period bound violated"
     return ok
 
@@ -313,20 +311,22 @@ class MeetingGraph:
         return out
 
 
-def build_meeting_graph(routeset: RouteSet) -> MeetingGraph:
-    """Find every carrier pair that ever meets, in carrier order.
+def _meets(a: Route, b: Route) -> bool:
+    """Do the two routes ever stand on one site at one instant?
 
-    Phase i of one route and phase j of another coincide at some instant iff
+    Phase i of one route and phase j of the other coincide at some instant iff
     i ≡ j (mod g), g the gcd of the periods: the pair meets iff, for some
     residue r, the phases ≡ r of both routes share a site.
     """
-    cs, edges = routeset.carriers, []
-    for i, a in enumerate(cs):
-        for b in cs[i + 1:]:
-            x, y = a.route.sites, b.route.sites
-            g = math.gcd(len(x), len(y))
-            if any(not set(x[r::g]).isdisjoint(y[r::g]) for r in range(g)):
-                edges.append((a.id, b.id))
+    x, y = a.sites, b.sites
+    g = math.gcd(len(x), len(y))
+    return any(not set(x[r::g]).isdisjoint(y[r::g]) for r in range(g))
+
+
+def build_meeting_graph(routeset: RouteSet) -> MeetingGraph:
+    """Find every carrier pair that ever meets (see `_meets`), in carrier order."""
+    cs = routeset.carriers
+    edges = [(a.id, b.id) for i, a in enumerate(cs) for b in cs[i + 1:] if _meets(a.route, b.route)]
     return MeetingGraph(routeset, edges)
 
 
@@ -337,13 +337,24 @@ def is_feasible(routeset: RouteSet) -> bool:
     meeting-graph component is the whole universe. Switching works in both
     directions at a meeting and meetings recur forever, so a component's
     domain union is exactly the reachable site set from anywhere inside it.
+
+    Each component is grown outward from its first carrier: a carrier that
+    joins is scanned only against the carriers no component holds yet, so a
+    pair already joined through others is never scanned and no pair is
+    scanned twice. That is k(k−1)/2 scans when nothing meets, and k−1 when
+    the first carrier meets all the others.
     """
-    h = build_meeting_graph(routeset)
     universe = set(routeset.sites)
-    for comp in h.components():
-        covered = set()
-        for cid in comp:
-            covered |= routeset.carrier(cid).route.domain
+    left = list(routeset.carriers)  # carriers in no component yet, in carrier order
+    while left:
+        frontier, covered = [left.pop(0)], set()
+        while frontier:
+            a = frontier.pop()
+            covered |= a.route.domain
+            rest = []
+            for b in left:
+                (frontier if _meets(a.route, b.route) else rest).append(b)
+            left = rest
         if covered != universe:
             return False
     return True

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pvgraph
+from pvgraph import core
 from pvgraph import (
     ANONYMOUS,
     IDS,
@@ -127,6 +128,9 @@ def test_irredundant_ring_and_tree_tour():
     assert not is_irredundant(Route(("a", "b", "c", "a", "d", "e")))
     # star tour visited out of tree order is still irredundant
     assert is_irredundant(Route(("a", "b", "a", "c")))
+    # the period shape holds, but a self-loop still fails the edge scan
+    assert not is_irredundant(Route(("a",)))  # p = d = 1
+    assert not is_irredundant(Route(("a", "a", "b", "c")))  # p = 2(d − 1) = 4
 
 
 def test_irredundant_period_never_exceeds_tree_tour():
@@ -192,6 +196,18 @@ def test_route_validators_match_the_reference(sites):
     r = Route(tuple(sites))
     assert is_simple(r) == _reference_is_simple(r)
     assert is_irredundant(r) == _reference_is_irredundant(r)
+
+
+def test_irredundant_tests_the_period_shape_before_the_edge_scan(monkeypatch):
+    route = pvgraph.make_instance("siho", 12, 3).routeset.carriers[0].route
+    assert is_simple(route) and route.period not in (len(route.domain), 2 * (len(route.domain) - 1))
+    calls = []
+    monkeypatch.setattr(core, "is_simple", lambda r: calls.append(r) or _reference_is_simple(r))
+    assert not is_irredundant(route)
+    assert calls == []
+    # a ring and a tree tour have the shape, so they still get the edge scan
+    assert is_irredundant(Route(("a", "b", "c"))) and is_irredundant(Route(("a", "b", "c", "b")))
+    assert len(calls) == 2
 
 
 def test_homogeneity():
@@ -293,6 +309,82 @@ def test_feasibility_needs_component_wide_coverage():
     assert is_feasible(rs_of(["a", "b"], ["b", "a"]))
     # single carrier covering its whole universe
     assert is_feasible(rs_of(["a", "b", "c"]))
+
+
+def component_rule(rs: RouteSet) -> bool:
+    """Reference: every component of the full meeting graph covers the universe."""
+    domains = [set().union(*(rs.carrier(c).route.domain for c in comp))
+               for comp in build_meeting_graph(rs).components()]
+    return all(d == set(rs.sites) for d in domains)
+
+
+def scanned_pairs(rs: RouteSet, monkeypatch) -> tuple[bool, list[frozenset[int]]]:
+    """`is_feasible` on rs, and the carrier pairs it handed to `_meets`, in order."""
+    index = {id(c.route): i for i, c in enumerate(rs.carriers)}
+    pairs, meets = [], core._meets
+    monkeypatch.setattr(core, "_meets", lambda a, b: pairs.append(frozenset((index[id(a)], index[id(b)])))
+                        or meets(a, b))
+    return is_feasible(rs), pairs
+
+
+@st.composite
+def chained_systems(draw):
+    """Up to 6 carriers of one period, linked in a drawn order: consecutive ones share a site.
+
+    Linked carrier order[j] and order[j + 1] both stand on `mj` at phase j, so with
+    order (0, 2, 1) c0 meets only c2 and c2 meets c1. A link may be left out, and
+    every other slot is a private site or one of two shared ones, which may add
+    meetings or cover a cut-off carrier's sites.
+    """
+    k = draw(st.integers(1, 6))
+    p = draw(st.integers(max(1, k - 1), k + 2))
+    order = draw(st.permutations(range(k)))
+    linked = [draw(st.booleans()) for _ in range(k - 1)]
+    routes = [[None] * p for _ in range(k)]
+    for j, on in enumerate(linked):
+        if on:
+            routes[order[j]][j] = routes[order[j + 1]][j] = f"m{j}"
+    for c, route in enumerate(routes):
+        for t, site in enumerate(route):
+            if site is None:
+                route[t] = draw(st.sampled_from([f"c{c}.{t}", "a", "b"]))
+    return rs_of(*routes)
+
+
+@st.composite
+def drawn_systems(draw):
+    """Up to 6 carriers with independent routes over up to 5 sites."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    shared = draw(st.none() | st.integers(1, 8))
+    lo, hi = (1, 8) if shared is None else (shared, shared)
+    routes = [draw(st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi)) for _ in range(k)]
+    return rs_of(*[[f"s{x}" for x in r] for r in routes])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rs=st.one_of(chained_systems(), drawn_systems()))
+def test_feasibility_matches_the_component_rule(rs):
+    with pytest.MonkeyPatch.context() as mp:
+        feasible, pairs = scanned_pairs(rs, mp)
+    assert feasible == component_rule(rs)
+    # no pair scanned twice, so never more scans than the k(k−1)/2 of a full scan
+    assert len(set(pairs)) == len(pairs) <= rs.k * (rs.k - 1) // 2
+
+
+def test_feasibility_grows_a_chain_through_its_middle(monkeypatch):
+    # c0 meets only c2 and c2 meets c1: c1 joins c0's component through c2
+    rs = rs_of(["m", "x0"], ["y1", "n"], ["m", "n"])
+    assert build_meeting_graph(rs).edges() == [("c0", "c2"), ("c1", "c2")]
+    # cut the chain's last link: c1 alone misses sites, and the sweep says so
+    assert not is_feasible(rs_of(["m", "x0"], ["n", "y1"], ["m", "n"]))
+    feasible, pairs = scanned_pairs(rs, monkeypatch)
+    assert feasible and pairs == [{0, 1}, {0, 2}, {2, 1}]
+
+
+def test_feasibility_scans_a_hub_in_k_minus_1_pairs(monkeypatch):
+    rs = pvgraph.make_instance("thm8", 13, 6).routeset
+    feasible, pairs = scanned_pairs(rs, monkeypatch)
+    assert feasible and rs.k == 6 and len(pairs) == rs.k - 1 == 5
 
 
 def test_concrete_cover_accepts_a_lawful_walk():
