@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InconsistentWalk, ParameterViolation, UnreachableSite
@@ -177,9 +177,7 @@ class Schedule:
 
     For the instants the agent rides alone, `quiet[c][i]` counts the phases
     from i on, up to p_c, whose `company` is empty: 0 where phase i lists
-    company. `cycles[c]` is carrier c's route as site names, twice over, so
-    that the sites of any p_c consecutive phases from phase i are the one
-    slice `cycles[c][i:i + p_c]`. These hold O(Σp) entries.
+    company. It holds O(Σp) entries.
 
     `company` and `quiet` are the engine's skip hints, not its stopping rule:
     a listed carrier may stand elsewhere at a given instant. A lone ride jumps
@@ -190,7 +188,6 @@ class Schedule:
     routes: tuple[tuple[int, ...], ...]
     company: tuple[tuple[tuple[int, ...], ...], ...]
     quiet: tuple[tuple[int, ...], ...]
-    cycles: tuple[tuple[str, ...], ...]
 
 
 def _build_schedule(routeset: RouteSet) -> Schedule:
@@ -224,8 +221,7 @@ def _build_schedule(routeset: RouteSet) -> Schedule:
             lone = 0 if row[i % p] else lone + 1
             left[i % p] = min(lone, p)
         quiet.append(tuple(left))
-    cycles = tuple([c.route.sites * 2 for c in routeset.carriers])
-    return Schedule(routes, tuple(company), tuple(quiet), cycles)
+    return Schedule(routes, tuple(company), tuple(quiet))
 
 
 def is_simple(route: Route) -> bool:
@@ -360,7 +356,13 @@ def is_feasible(routeset: RouteSet) -> bool:
     return True
 
 
-RUN_BLOCK = 1024  # moves compared at once: long runs are cut so the slices stay small
+def _arc(cycle: tuple[str, ...], start: int, moves: int) -> tuple[str, ...]:
+    """The sites of `moves` consecutive phases of `cycle` from phase `start` on,
+    wrapping round as often as needed."""
+    q = len(cycle)
+    start %= q
+    end = start + moves
+    return cycle[start:end] if end <= q else (cycle * -(-end // q))[start:end]
 
 
 def _walk_fault(routeset: RouteSet, walk: "Trace") -> tuple[int, str] | None:
@@ -371,43 +373,35 @@ def _walk_fault(routeset: RouteSet, walk: "Trace") -> tuple[int, str] | None:
     unknown start carrier faults step 0; an unknown step carrier, its step.
     Step times need no check: a trace's `Walk` times step i at i.
 
-    Each run of steps on one carrier is compared with its route a block at a
-    time, by whole slices; only a block that fails is scanned step by step,
-    to name its first fault.
+    The walk is checked a ride segment at a time. A segment whose cycle is
+    its carrier's route, boarded at the phase of its first instant, makes
+    that carrier's moves throughout: only its first departure is compared
+    with where the agent stands. Any other segment is checked move by move.
+    A run-made walk is thus checked in O(segments).
     """
     by_id = routeset.by_id
     if walk.start_carrier not in by_id:
         return 0, f"no start carrier {walk.start_carrier!r}"
     here = by_id[walk.start_carrier].route.sites[0]
-    steps = walk.steps
-    laps: dict[str, tuple[str, ...]] = {}  # each route repeated past p + RUN_BLOCK sites
-    a = 0
-    for cid, run in groupby(steps.carriers):
-        b = a + operator.countOf(run, cid)
+    t = 0
+    for segment in walk.steps.segments:
+        cid, cycle, offset, moves = segment
         c = by_id.get(cid)
-        if c is None:
-            return _step_fault(by_id, steps, a, here)
-        sites = c.route.sites
-        p = len(sites)
-        if cid not in laps:
-            laps[cid] = sites * (2 + RUN_BLOCK // p)
-        for o in range(a, b, RUN_BLOCK):
-            e = min(o + RUN_BLOCK, b)
-            froms, tos = steps.froms[o:e], steps.tos[o:e]
-            s = (o + 1) % p  # the phase of move o's arrival
-            if (froms[0] != here or sites[o % p] != here or froms[1:] != tos[:-1]
-                    or tos != laps[cid][s:s + e - o]):
-                return _step_fault(by_id, steps, o, here)
-            here = tos[-1]
-        a = b
+        if c is None or cycle != c.route.sites or offset != t % len(cycle) or cycle[offset] != here:
+            fault = _step_fault(c, segment, t, here)
+            if fault is not None:
+                return fault
+        t += moves
+        here = cycle[(offset + moves) % len(cycle)]
     return None
 
 
-def _step_fault(by_id, steps, a: int, here: str) -> tuple[int, str] | None:
-    """The first fault at or after step a, the agent standing on `here`, found step by step."""
-    for i in range(a, len(steps)):
-        cid, frm, to = steps.carriers[i], steps.froms[i], steps.tos[i]
-        c = by_id.get(cid)
+def _step_fault(c: Carrier | None, segment, t: int, here: str) -> tuple[int, str] | None:
+    """The first fault of `segment`, ridden on carrier `c` from step t with the
+    agent standing on `here`, found move by move."""
+    cid, cycle, offset, moves = segment
+    moves_made = zip(_arc(cycle, offset, moves), _arc(cycle, offset + 1, moves))
+    for i, (frm, to) in enumerate(moves_made, t):
         if c is None:
             return i, f"step {i} rides unknown carrier {cid!r}"
         if frm != here:
@@ -427,10 +421,13 @@ def is_concrete_cover(routeset: RouteSet, walk: "Trace") -> bool:
     The walk must be consistent (see `_walk_fault`): every step an edge its
     carrier activates at that time, departing where the agent stands.
     Violations raise InconsistentWalk rather than returning False — an
-    inconsistent walk covers nothing meaningfully.
+    inconsistent walk covers nothing meaningfully. The sites are gathered a
+    segment at a time; one of a lap or more covers its whole cycle.
     """
     fault = _walk_fault(routeset, walk)
     if fault is not None:
         raise InconsistentWalk(fault[1])
-    here = routeset.carrier(walk.start_carrier).route.sites[0]
-    return {here, *walk.steps.tos} == set(routeset.sites)
+    covered = {routeset.carrier(walk.start_carrier).route.sites[0]}
+    for _, cycle, offset, moves in walk.steps.segments:
+        covered.update(cycle if moves >= len(cycle) else _arc(cycle, offset + 1, moves))
+    return covered == set(routeset.sites)

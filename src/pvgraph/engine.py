@@ -11,10 +11,10 @@ import functools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Protocol
 
-from .core import IDS, RouteSet, TimedEdge, _walk_fault
+from .core import IDS, RouteSet, TimedEdge, _arc, _walk_fault
 from .errors import IllegalAction
 
 
@@ -63,23 +63,33 @@ class Strategy(Protocol):
 
 
 class Walk(Sequence):
-    """The moves of a walk, stored by column: step i is
-    `TimedEdge(i, carriers[i], froms[i], tos[i])`.
+    """The moves of a walk, stored as ride segments.
 
-    A long walk holds three tuples of names instead of one object per move;
-    the `TimedEdge`s are built only when the walk is indexed or iterated. It
-    compares equal to, and hashes like, the tuple of those `TimedEdge`s.
+    A segment `(carrier, cycle, offset, moves)` makes `moves` moves on
+    `carrier` over the sites of `cycle`: its j-th move goes from phase
+    `offset + j` of the cycle to the next, wrapping round. `run` records one
+    segment per ride on one carrier, its cycle the carrier's shared
+    `route.sites` and its offset the phase the agent boarded at, so a long
+    walk costs memory in proportion to its switches, not its moves. A walk
+    built from columns, `Walk(carriers, froms, tos)`, or from steps,
+    `Walk.of(steps)`, holds one one-move segment a step over the 2-cycle
+    `(from, to)`, so a walk the routes do not allow can still be written.
+
+    Step i is `TimedEdge(i, carriers[i], froms[i], tos[i])`; the columns are
+    derived from the segments each time they are read, and the `TimedEdge`s
+    only when the walk is indexed or iterated. A walk compares equal to, and
+    hashes like, the tuple of its `TimedEdge`s.
     """
 
-    __slots__ = ("carriers", "froms", "tos")
+    __slots__ = ("segments", "_moves")
 
     def __init__(self, carriers: Iterable[str], froms: Iterable[str], tos: Iterable[str]):
         carriers, froms, tos = tuple(carriers), tuple(froms), tuple(tos)
         if not len(carriers) == len(froms) == len(tos):
             raise ValueError("walk columns differ in length")
-        object.__setattr__(self, "carriers", carriers)
-        object.__setattr__(self, "froms", froms)
-        object.__setattr__(self, "tos", tos)
+        segments = tuple(zip(carriers, zip(froms, tos), repeat(0), repeat(1)))
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "_moves", len(tos))
 
     @classmethod
     def of(cls, steps: Iterable[TimedEdge]) -> "Walk":
@@ -94,27 +104,60 @@ class Walk(Sequence):
             [s.carrier for s in steps], [s.from_site for s in steps], [s.to_site for s in steps]
         )
 
+    @classmethod
+    def of_segments(cls, segments: Iterable[tuple[str, tuple[str, ...], int, int]]) -> "Walk":
+        """The walk of `segments`, each `(carrier, cycle, offset, moves)` with
+        `0 <= offset < len(cycle)` and `moves >= 1`."""
+        segments = tuple(map(tuple, segments))
+        for _, cycle, offset, moves in segments:
+            if not (0 <= offset < len(cycle) and moves >= 1):
+                raise ValueError(f"segment of {moves} moves from phase {offset} of {len(cycle)}")
+        walk = object.__new__(cls)
+        object.__setattr__(walk, "segments", segments)
+        object.__setattr__(walk, "_moves", sum(s[3] for s in segments))
+        return walk
+
     def __setattr__(self, name, value):
         raise AttributeError(f"Walk is immutable; cannot set {name!r}")
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
-        return Walk, (self.carriers, self.froms, self.tos)
+    def __reduce__(self):  # copy and pickle rebuild through of_segments, not __setattr__
+        return Walk.of_segments, (self.segments,)
+
+    def _columns(self) -> tuple[Iterator[str], Iterator[str], Iterator[str]]:
+        """The carrier, departure and arrival of every step in turn, streamed from the segments."""
+        segments = self.segments
+        return (
+            chain.from_iterable(repeat(cid, moves) for cid, _, _, moves in segments),
+            chain.from_iterable(_arc(cycle, at, moves) for _, cycle, at, moves in segments),
+            chain.from_iterable(_arc(cycle, at + 1, moves) for _, cycle, at, moves in segments),
+        )
+
+    carriers = property(lambda self: tuple(self._columns()[0]), doc="Each step's carrier.")
+    froms = property(lambda self: tuple(self._columns()[1]), doc="Each step's departure site.")
+    tos = property(lambda self: tuple(self._columns()[2]), doc="Each step's arrival site.")
 
     def __len__(self) -> int:
-        return len(self.tos)
+        return self._moves
 
     def __getitem__(self, i):
         at = range(len(self))[i]  # a step number, or a range for a slice; IndexError past the ends
         if isinstance(at, range):
-            return tuple(map(self.__getitem__, at))
-        return TimedEdge(at, self.carriers[at], self.froms[at], self.tos[at])
+            return tuple(self)[i]
+        step = at
+        for cid, cycle, offset, moves in self.segments:
+            if at < moves:
+                return TimedEdge(step, cid, *_arc(cycle, offset + at, 2))
+            at -= moves
 
     def __iter__(self) -> Iterator[TimedEdge]:
-        return map(TimedEdge, count(), self.carriers, self.froms, self.tos)
+        return map(TimedEdge, count(), *self._columns())
 
     def __eq__(self, other):
         if isinstance(other, Walk):
-            return (self.tos, self.carriers, self.froms) == (other.tos, other.carriers, other.froms)
+            return self._moves == other._moves and (
+                self.segments == other.segments
+                or (self.tos, self.carriers, self.froms) == (other.tos, other.carriers, other.froms)
+            )
         if isinstance(other, tuple):
             return len(self) == len(other) and tuple(self) == other
         return NotImplemented
@@ -171,6 +214,11 @@ def run(
     The first observation happens at t=0 aboard the start carrier, with the
     full arrival set of its starting site. A cut-off run comes back as a
     partial trace flagged `move_limit_exceeded`, never an exception.
+
+    The walk is recorded as one segment per ride on one carrier (see `Walk`):
+    a stop that keeps the carrier extends the open segment. First visits are
+    read from the route only while the carrier's route still holds a site the
+    walk has not seen.
     """
     if move_limit is None:
         move_limit = default_move_limit(routeset, strategy)
@@ -178,9 +226,10 @@ def run(
         raise ValueError("move_limit must be positive")
     routeset.carrier(start_carrier)  # an unknown start is a ParameterViolation
     sched = routeset.schedule
-    routes, company, quiet, cycles = sched.routes, sched.company, sched.quiet, sched.cycles
+    routes, company, quiet = sched.routes, sched.company, sched.quiet
     periods = [len(r) for r in routes]
     ids = [c.id for c in routeset.carriers]
+    cycles = [c.route.sites for c in routeset.carriers]  # shared by the segments, not copied
     index = {cid: c for c, cid in enumerate(ids)}
     alone = [frozenset((cid,)) for cid in ids]  # the arrival set whenever c has no company
     names = routeset.sites
@@ -189,10 +238,11 @@ def run(
     c = index[start_carrier]
     t = 0
     site = routes[c][0]
-    carriers: list[str] = []  # step i's carrier and arrival site
-    tos: list[str] = []
+    segments = []  # the closed ride segments; the open one boarded at instant t0 and phase t0_phase
+    t0 = t0_phase = 0
     visited = [names[site]]
     seen = {names[site]}
+    done = [False] * len(ids)  # every site of carrier c's route seen
     halted = False
     limit_hit = False
     while True:
@@ -220,9 +270,12 @@ def run(
             raise IllegalAction(f"ride of {moves!r} moves at t={t}, not an int >= 1")
         d = index[action.carrier]
         j = 1
-        if d != c:  # a switch: one move on the new carrier
+        if d != c:  # a switch: one move on the new carrier, in a new segment
+            if t > t0:
+                segments.append((ids[c], cycles[c], t0_phase, t - t0))
             c = d
-            phase = t % periods[c]
+            phase = t0_phase = t % periods[c]
+            t0 = t
         elif moves > 1 and len(arriving) == 1:
             # riding on alone: stop where another carrier stands on the site, after
             # one lap, at an unseen site or at the limit; quiet phases are jumped
@@ -238,38 +291,36 @@ def run(
                 else:
                     j += 1
             j = min(j, most)
-            if expose_sites:  # the instants after t must stand on seen sites
-                ahead = cycles[c][phase + 1:phase + j]
+            if expose_sites and not done[c]:  # the instants after t must stand on seen sites
+                ahead = _arc(cycles[c], phase + 1, j - 1)
                 if not seen.issuperset(ahead):
                     j = list(map(seen.__contains__, ahead)).index(False) + 1
-        reached = cycles[c][phase + 1:phase + 1 + j]
-        carriers.extend([ids[c]] * j)
-        tos.extend(reached)
-        if not seen.issuperset(reached):
-            for to in reached:  # first visits in order, however many a ride crosses
-                if to not in seen:
-                    seen.add(to)
-                    visited.append(to)
+        if not done[c]:  # first visits in order, however many a ride crosses
+            reached = _arc(cycles[c], phase + 1, j)
+            if not seen.issuperset(reached):
+                for to in reached:
+                    if to not in seen:
+                        seen.add(to)
+                        visited.append(to)
+            done[c] = seen.issuperset(cycles[c])
         t += j
         site = routes[c][t % periods[c]]
         if t >= move_limit:
             limit_hit = True
             break
-    # step i departs where step i-1 arrived; freeing the list of arrivals
-    # before the departures are cut from them keeps the peak low
-    arrivals = tuple(tos)
-    del tos
-    froms = (visited[0],) + arrivals[:-1] if arrivals else ()
-    return Trace(start_carrier, Walk(carriers, froms, arrivals), halted, tuple(visited), limit_hit)
+    if t > t0:
+        segments.append((ids[c], cycles[c], t0_phase, t - t0))
+    return Trace(start_carrier, Walk.of_segments(segments), halted, tuple(visited), limit_hit)
 
 
 def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
-    """Re-validate a trace against the routes, step by step.
+    """Re-validate a trace against the routes.
 
     Returns (True, None) for a legal execution, else (False, i) with the
     first offending step index. Checks activation (the step's edge is the
     carrier's move at that time), switch legality (consecutive carriers share
     the switch site), and that step 0 departs from the start carrier's site.
+    A run-made trace is checked a ride segment at a time (see `_walk_fault`).
     """
     fault = _walk_fault(routeset, trace)
     return (True, None) if fault is None else (False, fault[0])
@@ -290,42 +341,46 @@ def _csv_digits(block: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def trace_to_csv(trace: Trace) -> str:
     """One row per move; new_site flags first arrivals.
 
-    Each block of `CSV_BLOCK` rows is laid out by column: a list of eight
-    pieces a row, prefilled with commas, takes by slice assignment two pieces
-    for the step and two for the time, then the carriers, departures and one
-    `",to,0\n"` end a row, and only the first arrivals' ends are patched to
-    `",to,1\n"`. Step i is the block's prefix `str(i // CSV_BLOCK)`, empty in
-    block 0, and the digit table's entry for `i % CSV_BLOCK` with its comma,
+    The rows are written from the walk's segments. Each call lays out, for
+    each carrier and cycle the walk rides, the row tail `"c3,x1,x2,0\n"` of
+    every phase; a segment's rows take the tails of its phases in turn.
+    Each block of `CSV_BLOCK` rows is then a list of five pieces a row,
+    filled by slice assignment: the step, the time (the same two pieces) and
+    the tail. Only the first arrivals' tails are patched to end `",1\n"`.
+    Step i is the block's prefix `str(i // CSV_BLOCK)`, empty in block 0,
+    and the digit table's entry for `i % CSV_BLOCK` with its comma,
     zero-padded after a prefix; so no row calls `str()`, and `CSV_BLOCK` must
     be a power of ten. Blocks are joined one at a time, so the peak stays near
     twice the CSV's size; a list of every row string would hold over four
     times it.
     """
-    walk = trace.steps
-    carriers, froms, tos = walk.carriers, walk.froms, walk.tos
-    m = len(tos)
+    segments = trace.steps.segments
+    tails = {}  # (carrier, cycle) -> the row tail of each phase
     first = {}  # each site's first arrival, in step order
-    i = -1
-    for site in dict.fromkeys(tos):
-        first[site] = i = tos.index(site, i + 1)
-    ends = dict(zip(first, map(",{},0\n".format, first)))
+    t = 0
+    for cid, cycle, offset, moves in segments:
+        if (cid, cycle) not in tails:
+            row = f"{cid},{{}},{{}},0\n".format
+            tails[cid, cycle] = tuple(map(row, cycle, _arc(cycle, 1, len(cycle))))
+        for i, site in enumerate(_arc(cycle, offset + 1, min(moves, len(cycle))), t):
+            first.setdefault(site, i)
+        t += moves
     if trace.visited_sites:  # arriving back at the start is not new
         first.pop(trace.visited_sites[0], None)
     new = list(reversed(first.values()))  # popped in step order
+    ends = chain.from_iterable(
+        _arc(tails[cid, cycle], offset, moves) for cid, cycle, offset, moves in segments
+    )
     bare, padded = _csv_digits(CSV_BLOCK)
     blocks = [CSV_HEADER + "\n"]
-    for o in range(0, m, CSV_BLOCK):
-        e = min(o + CSV_BLOCK, m)
-        n = e - o
-        pieces = [","] * (8 * n)
-        pieces[0::8] = pieces[2::8] = [str(o // CSV_BLOCK) if o else ""] * n
-        pieces[1::8] = pieces[3::8] = (padded if o else bare)[:n]
-        pieces[4::8] = carriers[o:e]
-        pieces[6::8] = froms[o:e]
-        pieces[7::8] = map(ends.__getitem__, tos[o:e])
-        while new and new[-1] < e:
-            i = new.pop()
-            pieces[8 * (i - o) + 7] = f",{tos[i]},1\n"
+    for o in range(0, t, CSV_BLOCK):
+        n = min(CSV_BLOCK, t - o)
+        pieces = [str(o // CSV_BLOCK) if o else ""] * (5 * n)
+        pieces[1::5] = pieces[3::5] = (padded if o else bare)[:n]
+        pieces[4::5] = islice(ends, n)
+        while new and new[-1] < o + n:
+            i = 5 * (new.pop() - o) + 4
+            pieces[i] = pieces[i][:-2] + "1\n"
         blocks.append("".join(pieces))
         del pieces  # so the last block's pieces are not held through the final join
     return "".join(blocks)

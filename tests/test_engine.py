@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -389,7 +390,7 @@ def test_csv_step_numbers_cross_every_digit_count_of_the_block_prefix(block):
     assert rows[9_996].endswith(",x,1") and rows[10_001].endswith(",x,0")
 
 
-def test_run_stores_a_move_in_under_64_bytes():
+def test_a_walk_holds_under_64_kib_whatever_its_moves():
     inst = make_instance("sihe", 40, 4)
     rs = inst.routeset
     rs.schedule  # built on first use; a cost of the system, not of the walk
@@ -401,8 +402,14 @@ def test_run_stores_a_move_in_under_64_bytes():
     finally:
         tracemalloc.stop()
     assert tr.moves == 103_055
-    # three columns of name references read ~33; one TimedEdge object per move read ~113
-    assert peak < 64 * tr.moves, peak / tr.moves
+    # a few ride segments sharing the routes' site tuples; three columns of names read ~3.3 MiB
+    assert peak < 64 * 1024, peak
+    inst = make_instance("sihe", 48, 5)
+    rs = inst.routeset
+    trace = run(rs, HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs)), inst.start)
+    assert trace.moves > 250_000
+    assert len(pickle.dumps(trace)) < 64 * 1024  # the columns pickled read ~1.5 MiB
+    assert copy.deepcopy(trace) == trace
 
 
 def test_summary_record_key_order_and_values():
@@ -670,11 +677,130 @@ def test_walk_faults_match_the_step_by_step_reference(data):
     tampered = Trace(start, Walk(columns["carriers"], columns["froms"], columns["tos"]),
                      tr.halted, tr.visited_sites)
     fault = reference_fault(rs, tampered)
-    # short blocks cut long runs, as RUN_BLOCK cuts them on long walks
-    block = data.draw(st.sampled_from([1, 2, 5, pvgraph.core.RUN_BLOCK]), label="block")
+    assert _walk_fault(rs, tampered) == fault
+    # a lawful run-made walk never calls _step_fault: each segment checks its first departure only
     scan = mock.Mock(wraps=pvgraph.core._step_fault)
-    with mock.patch.multiple(pvgraph.core, RUN_BLOCK=block, _step_fault=scan):
-        assert _walk_fault(rs, tampered) == fault
-    if fault is None:  # a lawful walk passes on whole slices alone
-        assert not scan.called
+    with mock.patch.object(pvgraph.core, "_step_fault", scan):
+        assert _walk_fault(rs, tr) is None
+    assert not scan.called
     assert replay_check(rs, tampered) == ((True, None) if fault is None else (False, fault[0]))
+
+
+def steps_of(segments):
+    """The steps of `segments`, decoded one by one: the reference for `Walk`'s own decoding."""
+    steps, t = [], 0
+    for cid, cycle, offset, moves in segments:
+        for j in range(moves):
+            q = len(cycle)
+            steps.append(TimedEdge(t, cid, cycle[(offset + j) % q], cycle[(offset + j + 1) % q]))
+            t += 1
+    return tuple(steps)
+
+
+def drawn_system(data, max_k=3, max_period=6):
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(1, max_k), label="k")
+    routes = [
+        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max_period), label=f"c{i}")
+        for i in range(k)
+    ]
+    mode = data.draw(st.sampled_from([IDS, ANONYMOUS]), label="mode")
+    return rs_of(*[[f"s{x}" for x in r] for r in routes], mode=mode)
+
+
+def drawn_run(data, rs):
+    """A run on `rs` by a random rider (short segments) or hitch (long ones)."""
+    start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
+    if data.draw(st.booleans(), label="hitch"):
+        bound = data.draw(st.integers(1, rs.max_period + 2), label="B")
+        return run(rs, HitchARide(bound, homogeneous_known=is_homogeneous(rs)), start)
+    moves = data.draw(st.integers(1, 40), label="moves")
+    rider = RandomRider(data.draw(st.randoms(use_true_random=False)), moves)
+    return run(rs, rider, start, move_limit=moves + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_segment_edits_are_judged_like_the_step_by_step_reference(data):
+    rs = drawn_system(data)
+    tr = drawn_run(data, rs)
+    segments = list(tr.steps.segments)
+    assert tuple(tr.steps) == steps_of(segments)
+    if not segments:
+        return
+    at = data.draw(st.integers(0, len(segments) - 1), label="segment")
+    cid, cycle, offset, moves = segments[at]
+    q = len(cycle)
+    edits = ["offset", "carrier", "ghost", "cycle", "head", "tail"]
+    edit = data.draw(st.sampled_from(edits), label="edit")
+    if edit == "offset":
+        offset = (offset + data.draw(st.integers(1, q), label="shift")) % q
+    elif edit == "carrier":  # another carrier whose route holds the site, ridden from its phase
+        others = [c for c in rs.carriers if c.id != cid and cycle[offset] in c.route.domain]
+        if others:
+            other = data.draw(st.sampled_from(others), label="carrier")
+            t = sum(s[3] for s in segments[:at])
+            cid, cycle, offset = other.id, other.route.sites, t % other.route.period
+        else:
+            cid = "ghost"
+    elif edit == "ghost":
+        cid = "ghost"
+    elif edit == "cycle":  # a foreign cycle of the same length
+        sites = st.sampled_from([*rs.sites, "nowhere"])
+        cycle = tuple(data.draw(st.lists(sites, min_size=q, max_size=q), label="cycle"))
+    else:  # add or drop a move at the segment's first or last edge
+        more = data.draw(st.booleans(), label="add")
+        if edit == "head":
+            offset = (offset + (-1 if more else 1)) % q
+        moves += 1 if more else -1
+    segments[at] = (cid, cycle, offset, moves)
+    edited = Walk.of_segments([s for s in segments if s[3]])
+    assert tuple(edited) == steps_of(edited.segments)
+    tampered = Trace(tr.start_carrier, edited, tr.halted, tr.visited_sites)
+    fault = reference_fault(rs, tampered)
+    assert _walk_fault(rs, tampered) == fault
+    assert replay_check(rs, tampered) == ((True, None) if fault is None else (False, fault[0]))
+
+
+def assert_the_two_forms_agree(rs, tr):
+    walk = tr.steps
+    columns, steps = Walk(walk.carriers, walk.froms, walk.tos), Walk.of(tuple(walk))
+    assert walk == columns == steps and steps == walk
+    assert hash(walk) == hash(columns) == hash(steps)
+    assert all(s[2:] == (0, 1) for s in columns.segments)  # one one-move segment a step
+    hand_built = Trace(tr.start_carrier, columns, tr.halted, tr.visited_sites)
+    csv = trace_to_csv(tr).encode()
+    assert csv == trace_to_csv(hand_built).encode() == reference_csv(tr).encode()
+    assert is_concrete_cover(rs, tr) == is_concrete_cover(rs, hand_built)
+
+
+@pytest.mark.parametrize("spec", [
+    ("thm7", 12, 4), ("sihe", 36, 4), ("siho", 12, 3), ("thm8", 13, 3), ("thm4", 9, 3, 5),
+    ("thm3", 10, 3, 5), ("random", 10, 3, 4),
+])
+@pytest.mark.parametrize("kind", ["hitch", "guess"])
+def test_a_run_made_walk_and_its_hand_built_copy_agree_on_families(spec, kind):
+    inst = make_instance(*spec)
+    rs = inst.routeset
+    if kind == "hitch":
+        strategy = HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs))
+    else:
+        strategy = GuessingRide(rs.n)
+    tr = run(rs, strategy, inst.start)
+    assert len(tr.steps.segments) < tr.moves  # rides of more than one move merge
+    assert_the_two_forms_agree(rs, tr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_run_made_walk_and_its_hand_built_copy_agree(data):
+    rs = drawn_system(data, max_k=4, max_period=8)
+    assert_the_two_forms_agree(rs, drawn_run(data, rs))
+
+
+@pytest.mark.parametrize("segment", [
+    ("c0", ("a", "b"), 0, 0), ("c0", ("a", "b"), 2, 1), ("c0", ("a", "b"), -1, 1), ("c0", (), 0, 1),
+])
+def test_a_segment_makes_a_move_from_a_phase_of_its_cycle(segment):
+    with pytest.raises(ValueError):
+        Walk.of_segments([segment])
