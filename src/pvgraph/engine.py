@@ -77,8 +77,9 @@ class Walk(Sequence):
 
     Step i is `TimedEdge(i, carriers[i], froms[i], tos[i])`; the columns are
     derived from the segments each time they are read, and the `TimedEdge`s
-    only when the walk is indexed or iterated. A walk compares equal to, and
-    hashes like, the tuple of its `TimedEdge`s.
+    only when the walk is indexed or iterated. Indexing one step walks the
+    segments, so it costs O(segments): O(steps) on a hand-built walk. A walk
+    compares equal to, and hashes like, the tuple of its `TimedEdge`s.
     """
 
     __slots__ = ("segments", "_moves")
@@ -141,8 +142,11 @@ class Walk(Sequence):
 
     def __getitem__(self, i):
         at = range(len(self))[i]  # a step number, or a range for a slice; IndexError past the ends
-        if isinstance(at, range):
-            return tuple(self)[i]
+        if isinstance(at, range):  # build the steps up to the slice's far end only
+            if not at:
+                return ()
+            lo, hi = sorted((at[0], at[-1]))
+            return tuple(islice(self, lo, hi + 1))[:: at.step]
         step = at
         for cid, cycle, offset, moves in self.segments:
             if at < moves:
@@ -154,10 +158,9 @@ class Walk(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, Walk):
-            return self._moves == other._moves and (
-                self.segments == other.segments
-                or (self.tos, self.carriers, self.froms) == (other.tos, other.carriers, other.froms)
-            )
+            if self._moves != other._moves:
+                return False
+            return (self.tos, self.carriers, self.froms) == (other.tos, other.carriers, other.froms)
         if isinstance(other, tuple):
             return len(self) == len(other) and tuple(self) == other
         return NotImplemented
@@ -360,8 +363,8 @@ def trace_to_csv(trace: Trace) -> str:
     t = 0
     for cid, cycle, offset, moves in segments:
         if (cid, cycle) not in tails:
-            row = f"{cid},{{}},{{}},0\n".format
-            tails[cid, cycle] = tuple(map(row, cycle, _arc(cycle, 1, len(cycle))))
+            arcs = zip(cycle, _arc(cycle, 1, len(cycle)))
+            tails[cid, cycle] = tuple(f"{cid},{a},{b},0\n" for a, b in arcs)
         for i, site in enumerate(_arc(cycle, offset + 1, min(moves, len(cycle))), t):
             first.setdefault(site, i)
         t += moves

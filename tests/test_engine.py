@@ -219,7 +219,9 @@ def test_walk_indexes_like_the_tuple_of_its_steps():
     for i in (4, -5):
         with pytest.raises(IndexError):
             walk[i]
-    for cut in (slice(None), slice(1, 3), slice(-2, None), slice(None, None, -2), slice(5, 9)):
+    cuts = [slice(None), slice(1, 3), slice(-2, None), slice(None, None, -2), slice(5, 9)]
+    cuts += [slice(3, 0, -1), slice(None, 1, -1), slice(2, 2), slice(-1, -5, -3), slice(0, 4, 3)]
+    for cut in cuts:
         assert walk[cut] == steps[cut]
     assert [type(s) for s in walk] == [TimedEdge] * 4 and tuple(walk) == steps
     with pytest.raises(AttributeError):
@@ -235,6 +237,16 @@ def test_walk_equals_and_hashes_like_its_steps():
     back = Trace(tr.start_carrier, tuple(tr.steps), tr.halted, tr.visited_sites)
     assert isinstance(back.steps, Walk) and back == tr and hash(back) == hash(tr)
     assert copy.deepcopy(tr) == tr
+
+
+def test_a_walk_slice_builds_the_steps_up_to_its_far_end_only(monkeypatch):
+    rs = rs_of(["a", "b", "c"])
+    walk = run(rs, Scripted([Ride("c0")] * 1000), "c0", move_limit=2000).steps
+    assert len(walk) == 1000 and len(walk.segments) == 1
+    built = []
+    monkeypatch.setattr(pvgraph.engine, "TimedEdge", lambda *step: built.append(step) or step)
+    assert walk[1:3] == ((1, "c0", "b", "c"), (2, "c0", "c", "a")) and len(built) == 3
+    assert walk[4:0:-2] == ((4, "c0", "b", "c"), (2, "c0", "c", "a")) and len(built) == 8
 
 
 def test_walk_columns_have_one_length():
@@ -347,9 +359,11 @@ def test_csv_matches_the_row_by_row_reference(block, span, data):
     if kind == "no moves":
         m = 0
     names = st.sampled_from("abcde")
+    carrier_ids = st.sampled_from(["c0", "c1", "c2", "c{0}", "a}", "a{{b", "c{}"])
     # a short drawn pattern of steps, lawful or not, repeated over the walk
     pattern = data.draw(
-        st.lists(st.tuples(st.sampled_from(["c0", "c1", "c2"]), names, names), min_size=1, max_size=8),
+        # any non-whitespace token is a carrier id, so ids with format braces are drawn too
+        st.lists(st.tuples(carrier_ids, names, names), min_size=1, max_size=8),
         label="pattern",
     )
     steps = [pattern[i % len(pattern)] for i in range(m)]
@@ -368,6 +382,14 @@ def test_csv_matches_the_row_by_row_reference(block, span, data):
     tr = Trace("c0", Walk(carriers, froms, tos), False, visited)
     with mock.patch.object(pvgraph.engine, "CSV_BLOCK", block):
         assert trace_to_csv(tr).encode() == reference_csv(tr).encode()
+
+
+def test_csv_writes_carrier_ids_with_format_braces_as_they_are():
+    ids = ["c{0}", "a}", "a{{b", "c{}"]
+    rs = RouteSet.from_routes(list(zip(ids, (["a", "b"], ["a", "c"], ["a", "d"], ["a", "e"]))), IDS)
+    tr = run(rs, HitchARide(2, homogeneous_known=True), ids[0])
+    assert set(tr.steps.carriers) == set(ids) and tr.covers(rs)
+    assert trace_to_csv(tr) == reference_csv(tr)
 
 
 @pytest.mark.parametrize("block", [10, 100])
