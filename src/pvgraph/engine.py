@@ -51,12 +51,13 @@ class Strategy(Protocol):
     A `Ride(carrier, moves)` that keeps the current carrier may ride on alone
     through many instants: `run` makes up to `moves` moves before it asks
     again. It stops at the first instant another carrier actually shares the
-    agent's site, after one lap of the carrier's route, at the first site the
-    walk has not seen (with site identities), at the move limit, or after
-    `moves` moves, whichever comes first; a switch, or an instant with company
-    on the site, makes one move. The strategy reads how far it got from the
-    next observation's `time`, so it must answer exactly as it would have at
-    each instant skipped. `moves` must be an `int >= 1`.
+    agent's site, at the first site the walk has not seen (with site
+    identities), at the move limit, or after `moves` moves, whichever comes
+    first, however many laps of the carrier's route that takes; a switch, or
+    an instant with company on the site, makes one move. The strategy reads
+    how far it got from the next observation's `time`, so it must answer
+    exactly as it would have at each instant skipped. `moves` must be an
+    `int >= 1`.
     """
 
     def decide(self, obs: Observation) -> Action: ...
@@ -71,58 +72,55 @@ class Walk(Sequence):
     segment per ride on one carrier, its cycle the carrier's shared
     `route.sites` and its offset the phase the agent boarded at, so a long
     walk costs memory in proportion to its switches, not its moves. A walk
-    built from columns, `Walk(carriers, froms, tos)`, or from steps,
-    `Walk.of(steps)`, holds one one-move segment a step over the 2-cycle
-    `(from, to)`, so a walk the routes do not allow can still be written.
+    built by hand from steps, `Walk.of(steps)`, holds one path segment for
+    each run of steps on one carrier that departs where the last arrived, so
+    a walk the routes do not allow can still be written, and a copy of a
+    run-made walk has its segment count.
 
     Step i is `TimedEdge(i, carriers[i], froms[i], tos[i])`; the columns are
     derived from the segments each time they are read, and the `TimedEdge`s
     only when the walk is indexed or iterated. Indexing one step walks the
-    segments, so it costs O(segments): O(steps) on a hand-built walk. A walk
-    compares equal to, and hashes like, the tuple of its `TimedEdge`s.
+    segments, so it costs O(segments). A walk compares equal to, and hashes
+    like, the tuple of its `TimedEdge`s.
     """
 
     __slots__ = ("segments", "_moves")
 
-    def __init__(self, carriers: Iterable[str], froms: Iterable[str], tos: Iterable[str]):
-        carriers, froms, tos = tuple(carriers), tuple(froms), tuple(tos)
-        if not len(carriers) == len(froms) == len(tos):
-            raise ValueError("walk columns differ in length")
-        segments = tuple(zip(carriers, zip(froms, tos), repeat(0), repeat(1)))
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "_moves", len(tos))
-
-    @classmethod
-    def of(cls, steps: Iterable[TimedEdge]) -> "Walk":
-        """The walk of `steps`, which must be timed 0, 1, 2, ..."""
-        if isinstance(steps, Walk):
-            return steps
-        steps = tuple(steps)
-        for i, s in enumerate(steps):
-            if s.time != i:
-                raise ValueError(f"step {i} timed {s.time}")
-        return cls(
-            [s.carrier for s in steps], [s.from_site for s in steps], [s.to_site for s in steps]
-        )
-
-    @classmethod
-    def of_segments(cls, segments: Iterable[tuple[str, tuple[str, ...], int, int]]) -> "Walk":
+    def __init__(self, segments: Iterable[tuple[str, tuple[str, ...], int, int]]):
         """The walk of `segments`, each `(carrier, cycle, offset, moves)` with
         `0 <= offset < len(cycle)` and `moves >= 1`."""
         segments = tuple(map(tuple, segments))
         for _, cycle, offset, moves in segments:
             if not (0 <= offset < len(cycle) and moves >= 1):
                 raise ValueError(f"segment of {moves} moves from phase {offset} of {len(cycle)}")
-        walk = object.__new__(cls)
-        object.__setattr__(walk, "segments", segments)
-        object.__setattr__(walk, "_moves", sum(s[3] for s in segments))
-        return walk
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "_moves", sum(s[3] for s in segments))
+
+    @classmethod
+    def of(cls, steps: Iterable[TimedEdge]) -> "Walk":
+        """The walk of `steps`, which must be timed 0, 1, 2, ...: each run of
+        steps on one carrier, each departing where the one before arrived, is
+        one path segment `(carrier, (from, to_1, ..., to_m), 0, m)`."""
+        if isinstance(steps, Walk):
+            return steps
+        segments, cid, path = [], None, []
+        for i, s in enumerate(steps):
+            if s.time != i:
+                raise ValueError(f"step {i} timed {s.time}")
+            if s.carrier != cid or s.from_site != path[-1]:
+                if path:
+                    segments.append((cid, tuple(path), 0, len(path) - 1))
+                cid, path = s.carrier, [s.from_site]
+            path.append(s.to_site)
+        if path:
+            segments.append((cid, tuple(path), 0, len(path) - 1))
+        return cls(segments)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Walk is immutable; cannot set {name!r}")
 
-    def __reduce__(self):  # copy and pickle rebuild through of_segments, not __setattr__
-        return Walk.of_segments, (self.segments,)
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
+        return Walk, (self.segments,)
 
     def _columns(self) -> tuple[Iterator[str], Iterator[str], Iterator[str]]:
         """The carrier, departure and arrival of every step in turn, streamed from the segments."""
@@ -280,10 +278,14 @@ def run(
             phase = t0_phase = t % periods[c]
             t0 = t
         elif moves > 1 and len(arriving) == 1:
-            # riding on alone: stop where another carrier stands on the site, after
-            # one lap, at an unseen site or at the limit; quiet phases are jumped
+            # riding on alone: stop at the asked moves, the limit, the first unseen
+            # site or where another carrier stands on the site; quiet phases are jumped
             p = periods[c]
-            most = min(moves, p, move_limit - t)
+            most = min(moves, move_limit - t)
+            if expose_sites and not done[c]:  # capped before the loop scans laps past it
+                ahead = _arc(cycles[c], phase + 1, min(most, p))
+                if not seen.issuperset(ahead):
+                    most = list(map(seen.__contains__, ahead)).index(False) + 1
             lone, listed, route = quiet[c], company[c], routes[c]
             while j < most:
                 i = (phase + j) % p
@@ -294,12 +296,8 @@ def run(
                 else:
                     j += 1
             j = min(j, most)
-            if expose_sites and not done[c]:  # the instants after t must stand on seen sites
-                ahead = _arc(cycles[c], phase + 1, j - 1)
-                if not seen.issuperset(ahead):
-                    j = list(map(seen.__contains__, ahead)).index(False) + 1
         if not done[c]:  # first visits in order, however many a ride crosses
-            reached = _arc(cycles[c], phase + 1, j)
+            reached = _arc(cycles[c], phase + 1, min(j, periods[c]))
             if not seen.issuperset(reached):
                 for to in reached:
                     if to not in seen:
@@ -313,7 +311,7 @@ def run(
             break
     if t > t0:
         segments.append((ids[c], cycles[c], t0_phase, t - t0))
-    return Trace(start_carrier, Walk.of_segments(segments), halted, tuple(visited), limit_hit)
+    return Trace(start_carrier, Walk(segments), halted, tuple(visited), limit_hit)
 
 
 def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
