@@ -13,10 +13,8 @@ from .core import (
     MeetingGraph,
     Route,
     RouteSet,
-    TimedEdge,
     build_meeting_graph,
     carriers_at,
-    is_concrete_cover,
     is_feasible,
     is_homogeneous,
     is_irredundant,
@@ -28,9 +26,11 @@ from .engine import (
     Observation,
     Ride,
     Strategy,
+    TimedEdge,
     Trace,
     Walk,
     default_move_limit,
+    is_concrete_cover,
     replay_check,
     run,
     summary_line,
@@ -70,11 +70,10 @@ from .strategies import GuessingRide, HitchARide
 
 __all__ = [
     "ANONYMOUS", "IDS",
-    "Carrier", "MeetingGraph", "Route", "RouteSet", "TimedEdge",
-    "build_meeting_graph", "carriers_at", "is_concrete_cover", "is_feasible",
-    "is_homogeneous", "is_irredundant", "is_simple",
-    "Halt", "HALT", "Observation", "Ride", "Strategy", "Trace", "Walk",
-    "default_move_limit", "replay_check", "run", "summary_line",
+    "Carrier", "MeetingGraph", "Route", "RouteSet", "build_meeting_graph",
+    "carriers_at", "is_feasible", "is_homogeneous", "is_irredundant", "is_simple",
+    "Halt", "HALT", "Observation", "Ride", "Strategy", "TimedEdge", "Trace", "Walk",
+    "default_move_limit", "is_concrete_cover", "replay_check", "run", "summary_line",
     "summary_record", "trace_to_csv",
     "PVGraphError", "IllegalAction", "InconsistentWalk", "NoCoprimePair",
     "NoSuitablePrime", "NotIdMode", "ParameterViolation", "ParseError",

@@ -16,12 +16,9 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import InconsistentWalk, ParameterViolation, UnreachableSite
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import Trace
+from .errors import ParameterViolation, UnreachableSite
 
 ANONYMOUS = "anonymous"
 IDS = "ids"
@@ -55,16 +52,6 @@ class Route:
 class Carrier:
     id: str
     route: Route
-
-
-@dataclass(frozen=True, slots=True)
-class TimedEdge:
-    """One move: `carrier` leaves `from_site` at `time`, arriving at `to_site`."""
-
-    time: int
-    carrier: str
-    from_site: str
-    to_site: str
 
 
 @dataclass(frozen=True)
@@ -355,79 +342,3 @@ def is_feasible(routeset: RouteSet) -> bool:
             return False
     return True
 
-
-def _arc(cycle: tuple[str, ...], start: int, moves: int) -> tuple[str, ...]:
-    """The sites of `moves` consecutive phases of `cycle` from phase `start` on,
-    wrapping round as often as needed."""
-    q = len(cycle)
-    start %= q
-    end = start + moves
-    return cycle[start:end] if end <= q else (cycle * -(-end // q))[start:end]
-
-
-def _walk_fault(routeset: RouteSet, walk: "Trace") -> tuple[int, str] | None:
-    """The first step the routes do not allow, as (index, reason); None if lawful.
-
-    Step i must depart where the agent stands (step 0: the start carrier's
-    site at t=0) and be the move its carrier makes from time i to i+1. An
-    unknown start carrier faults step 0; an unknown step carrier, its step.
-    Step times need no check: a trace's `Walk` times step i at i.
-
-    The walk is checked a ride segment at a time. A segment whose cycle is
-    its carrier's route, boarded at the phase of its first instant, makes
-    that carrier's moves throughout: only its first departure is compared
-    with where the agent stands. Any other segment is checked move by move.
-    A run-made walk is thus checked in O(segments).
-    """
-    by_id = routeset.by_id
-    if walk.start_carrier not in by_id:
-        return 0, f"no start carrier {walk.start_carrier!r}"
-    here = by_id[walk.start_carrier].route.sites[0]
-    t = 0
-    for segment in walk.steps.segments:
-        cid, cycle, offset, moves = segment
-        c = by_id.get(cid)
-        if c is None or cycle != c.route.sites or offset != t % len(cycle) or cycle[offset] != here:
-            fault = _step_fault(c, segment, t, here)
-            if fault is not None:
-                return fault
-        t += moves
-        here = cycle[(offset + moves) % len(cycle)]
-    return None
-
-
-def _step_fault(c: Carrier | None, segment, t: int, here: str) -> tuple[int, str] | None:
-    """The first fault of `segment`, ridden on carrier `c` from step t with the
-    agent standing on `here`, found move by move."""
-    cid, cycle, offset, moves = segment
-    moves_made = zip(_arc(cycle, offset, moves), _arc(cycle, offset + 1, moves))
-    for i, (frm, to) in enumerate(moves_made, t):
-        if c is None:
-            return i, f"step {i} rides unknown carrier {cid!r}"
-        if frm != here:
-            # boarding a carrier that isn't standing where the agent is
-            return i, f"step {i} departs {frm} but the agent stands on {here}"
-        sites = c.route.sites
-        if sites[i % len(sites)] != here or sites[(i + 1) % len(sites)] != to:
-            return i, (f"step {i}: carrier {cid} does not activate "
-                       f"({frm} -> {to}) at time {i}")
-        here = to
-    return None
-
-
-def is_concrete_cover(routeset: RouteSet, walk: "Trace") -> bool:
-    """Does the walk touch every site of the universe?
-
-    The walk must be consistent (see `_walk_fault`): every step an edge its
-    carrier activates at that time, departing where the agent stands.
-    Violations raise InconsistentWalk rather than returning False — an
-    inconsistent walk covers nothing meaningfully. The sites are gathered a
-    segment at a time; one of a lap or more covers its whole cycle.
-    """
-    fault = _walk_fault(routeset, walk)
-    if fault is not None:
-        raise InconsistentWalk(fault[1])
-    covered = {routeset.carrier(walk.start_carrier).route.sites[0]}
-    for _, cycle, offset, moves in walk.steps.segments:
-        covered.update(cycle if moves >= len(cycle) else _arc(cycle, offset + 1, moves))
-    return covered == set(routeset.sites)

@@ -1,9 +1,9 @@
-"""Discrete-time simulation of one exploring agent riding carriers.
+"""Discrete-time simulation of one agent riding carriers, and the walks it leaves.
 
 The agent is always aboard some carrier. Each instant it sees which carriers
 share its site, then either switches (a move: both advance one step) or keeps
 riding (also a move), or halts. Time only advances through moves; there is no
-way to wait at a site.
+way to wait at a site. Only this module reads a walk's ride segments.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Protocol
 
-from .core import IDS, RouteSet, TimedEdge, _arc, _walk_fault
-from .errors import IllegalAction
+from .core import IDS, RouteSet
+from .errors import IllegalAction, InconsistentWalk
 
 
 class Observation(NamedTuple):
@@ -61,6 +61,25 @@ class Strategy(Protocol):
     """
 
     def decide(self, obs: Observation) -> Action: ...
+
+
+@dataclass(frozen=True, slots=True)
+class TimedEdge:
+    """One move: `carrier` leaves `from_site` at `time`, arriving at `to_site`."""
+
+    time: int
+    carrier: str
+    from_site: str
+    to_site: str
+
+
+def _arc(cycle: tuple[str, ...], start: int, moves: int) -> tuple[str, ...]:
+    """The sites of `moves` consecutive phases of `cycle` from phase `start` on,
+    wrapping round as often as needed."""
+    q = len(cycle)
+    start %= q
+    end = start + moves
+    return cycle[start:end] if end <= q else (cycle * -(-end // q))[start:end]
 
 
 class Walk(Sequence):
@@ -314,6 +333,59 @@ def run(
     return Trace(start_carrier, Walk(segments), halted, tuple(visited), limit_hit)
 
 
+def _walk_fault(routeset: RouteSet, walk: Trace) -> tuple[int, str] | None:
+    """The first step the routes do not allow, as (index, reason); None if lawful.
+
+    Step i must depart where the agent stands (step 0: the start carrier's
+    site at t=0) and be the move its carrier makes from time i to i+1. An
+    unknown start carrier faults step 0. Each ride segment, its first move at
+    step t, is judged in turn: an unknown carrier, or a first departure from
+    elsewhere, faults step t. A segment that rides its carrier's route from
+    phase t mod p makes that carrier's moves throughout; any other is compared
+    with the route as two slices of sites, and the first site j that differs
+    faults step t + max(j - 1, 0). No move runs Python code of its own.
+    """
+    by_id = routeset.by_id
+    if walk.start_carrier not in by_id:
+        return 0, f"no start carrier {walk.start_carrier!r}"
+    here = by_id[walk.start_carrier].route.sites[0]
+    t = 0
+    for cid, cycle, offset, moves in walk.steps.segments:
+        c = by_id.get(cid)
+        if c is None:
+            return t, f"step {t} rides unknown carrier {cid!r}"
+        if cycle[offset] != here:
+            # boarding a carrier that isn't standing where the agent is
+            return t, f"step {t} departs {cycle[offset]} but the agent stands on {here}"
+        route = c.route.sites
+        if cycle != route or offset != t % len(route):
+            made, due = _arc(cycle, offset, moves + 1), _arc(route, t, moves + 1)
+            if made != due:
+                j = max(next(j for j, (a, b) in enumerate(zip(made, due)) if a != b) - 1, 0)
+                return t + j, (f"step {t + j}: carrier {cid} does not activate "
+                               f"({made[j]} -> {made[j + 1]}) at time {t + j}")
+        t += moves
+        here = cycle[(offset + moves) % len(cycle)]
+    return None
+
+
+def is_concrete_cover(routeset: RouteSet, walk: Trace) -> bool:
+    """Does the walk touch every site of the universe?
+
+    The walk must be consistent, as `replay_check`'s checker (`_walk_fault`)
+    judges it, but a violation raises InconsistentWalk rather than returning
+    False — an inconsistent walk covers nothing meaningfully. The sites are
+    gathered a segment at a time; one of a lap or more covers its whole cycle.
+    """
+    fault = _walk_fault(routeset, walk)
+    if fault is not None:
+        raise InconsistentWalk(fault[1])
+    covered = {routeset.carrier(walk.start_carrier).route.sites[0]}
+    for _, cycle, offset, moves in walk.steps.segments:
+        covered.update(cycle if moves >= len(cycle) else _arc(cycle, offset + 1, moves))
+    return covered == set(routeset.sites)
+
+
 def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
     """Re-validate a trace against the routes.
 
@@ -321,7 +393,8 @@ def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
     first offending step index. Checks activation (the step's edge is the
     carrier's move at that time), switch legality (consecutive carriers share
     the switch site), and that step 0 departs from the start carrier's site.
-    A run-made trace is checked a ride segment at a time (see `_walk_fault`).
+    Its checker, `_walk_fault`, is the one `is_concrete_cover` uses: it reads
+    a walk a ride segment at a time, with no Python code per move.
     """
     fault = _walk_fault(routeset, trace)
     return (True, None) if fault is None else (False, fault[0])
@@ -329,6 +402,15 @@ def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
 
 CSV_HEADER = "step,time,carrier,from,to,new_site"
 CSV_BLOCK = 1000  # rows laid out and joined at a time; a power of ten
+_CSV_QUOTED = frozenset('",')  # a field holding one of these is quoted (RFC 4180)
+
+
+def _csv_fields(names: tuple[str, ...]) -> tuple[str, ...]:
+    """`names` as CSV fields: one that holds a comma or a quote is wrapped in
+    quotes, each quote inside doubled; any other is as it is."""
+    if _CSV_QUOTED.isdisjoint("".join(names)):
+        return names
+    return tuple(s if _CSV_QUOTED.isdisjoint(s) else '"' + s.replace('"', '""') + '"' for s in names)
 
 
 @functools.cache
@@ -344,7 +426,9 @@ def trace_to_csv(trace: Trace) -> str:
 
     The rows are written from the walk's segments. Each call lays out, for
     each carrier and cycle the walk rides, the row tail `"c3,x1,x2,0\n"` of
-    every phase; a segment's rows take the tails of its phases in turn.
+    every phase; a segment's rows take the tails of its phases in turn. A
+    name that holds a comma or a quote is quoted there, the RFC 4180 way,
+    so no row pays for it.
     Each block of `CSV_BLOCK` rows is then a list of five pieces a row,
     filled by slice assignment: the step, the time (the same two pieces) and
     the tail. Only the first arrivals' tails are patched to end `",1\n"`.
@@ -361,8 +445,9 @@ def trace_to_csv(trace: Trace) -> str:
     t = 0
     for cid, cycle, offset, moves in segments:
         if (cid, cycle) not in tails:
-            arcs = zip(cycle, _arc(cycle, 1, len(cycle)))
-            tails[cid, cycle] = tuple(f"{cid},{a},{b},0\n" for a, b in arcs)
+            field, *sites = _csv_fields((cid, *cycle))
+            arcs = zip(sites, sites[1:] + sites[:1])
+            tails[cid, cycle] = tuple(f"{field},{a},{b},0\n" for a, b in arcs)
         for i, site in enumerate(_arc(cycle, offset + 1, min(moves, len(cycle))), t):
             first.setdefault(site, i)
         t += moves

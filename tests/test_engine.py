@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
+import io
 import json
 import math
 import pickle
@@ -37,9 +39,9 @@ from pvgraph import (
     summary_record,
     trace_to_csv,
 )
-import pvgraph.core
 import pvgraph.engine
-from pvgraph.core import ANONYMOUS, _walk_fault
+from pvgraph.core import ANONYMOUS
+from pvgraph.engine import _walk_fault
 
 
 def rs_of(*routes, mode=IDS):
@@ -333,14 +335,16 @@ def test_csv_is_built_without_a_list_of_rows():
 
 
 def reference_csv(trace: Trace) -> str:
-    """One f-string a row; a step is new iff its site is not the start's or an earlier arrival."""
-    rows = [pvgraph.engine.CSV_HEADER + "\n"]
+    """`csv.writer` a row; a step is new iff its site is not the start's or an earlier arrival."""
+    out = io.StringIO()
+    out.write(pvgraph.engine.CSV_HEADER + "\n")
+    rows = csv.writer(out, lineterminator="\n")
     seen = {trace.visited_sites[0]} if trace.visited_sites else set()
     walk = trace.steps
     for i, carrier, frm, to in zip(range(len(walk)), walk.carriers, walk.froms, walk.tos):
-        rows.append(f"{i},{i},{carrier},{frm},{to},{0 if to in seen else 1}\n")
+        rows.writerow([i, i, carrier, frm, to, 0 if to in seen else 1])
         seen.add(to)
-    return "".join(rows)
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("block", [10, pvgraph.engine.CSV_BLOCK])  # powers of ten
@@ -355,8 +359,8 @@ def test_csv_matches_the_row_by_row_reference(block, span, data):
     m = lengths[span] if lengths[span] is not None else data.draw(st.integers(1, 30), label="m")
     if kind == "no moves":
         m = 0
-    names = st.sampled_from("abcde")
-    carrier_ids = st.sampled_from(["c0", "c1", "c2", "c{0}", "a}", "a{{b", "c{}"])
+    names = st.sampled_from([*"abcde", "a,b", 'q"t'])  # the last two must be quoted
+    carrier_ids = st.sampled_from(["c0", "c1", "c2", "c{0}", "a}", "a{{b", "c{}", "a,b", 'q"t'])
     # a short drawn pattern of steps, lawful or not, repeated over the walk
     pattern = data.draw(
         # any non-whitespace token is a carrier id, so ids with format braces are drawn too
@@ -387,6 +391,21 @@ def test_csv_writes_carrier_ids_with_format_braces_as_they_are():
     tr = run(rs, HitchARide(2, homogeneous_known=True), ids[0])
     assert set(tr.steps.carriers) == set(ids) and tr.covers(rs)
     assert trace_to_csv(tr) == reference_csv(tr)
+
+
+def test_csv_quotes_names_that_hold_a_comma_or_a_quote():
+    ids = ["c,1", 'q"t', "c2"]
+    routes = (["a,b", 'x"y'], ["a,b", "s"], ['"', "s"])
+    rs = RouteSet.from_routes(list(zip(ids, routes)), IDS)
+    tr = run(rs, HitchARide(2, homogeneous_known=True), ids[0])
+    assert set(tr.steps.carriers) == set(ids) and tr.covers(rs)
+    text = trace_to_csv(tr)
+    assert text == reference_csv(tr) and '"c,1","a,b","x""y",' in text
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == pvgraph.engine.CSV_HEADER.split(",") and len(rows) == tr.moves + 1
+    assert all(len(row) == 6 for row in rows)
+    steps = [(s.carrier, s.from_site, s.to_site) for s in tr.steps]
+    assert [tuple(row[2:5]) for row in rows[1:]] == steps
 
 
 @pytest.mark.parametrize("block", [10, 100])
@@ -710,9 +729,9 @@ def test_walk_faults_match_the_step_by_step_reference(data):
     tampered = Trace(start, Walk.of(edited), tr.halted, tr.visited_sites)
     fault = reference_fault(rs, tampered)
     assert _walk_fault(rs, tampered) == fault
-    # a lawful run-made walk never calls _step_fault: each segment checks its first departure only
-    scan = mock.Mock(wraps=pvgraph.core._step_fault)
-    with mock.patch.object(pvgraph.core, "_step_fault", scan):
+    # a lawful run-made walk is never sliced: each segment checks its first departure only
+    scan = mock.Mock(wraps=pvgraph.engine._arc)
+    with mock.patch.object(pvgraph.engine, "_arc", scan):
         assert _walk_fault(rs, tr) is None
     assert not scan.called
     assert replay_check(rs, tampered) == ((True, None) if fault is None else (False, fault[0]))
