@@ -12,7 +12,6 @@ mutate their inputs.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -26,22 +25,24 @@ IDS = "ids"
 
 @dataclass(frozen=True)
 class Route:
-    """An ordered cycle of sites; index i is the site occupied at phase i."""
+    """An ordered cycle of sites; index i is the site occupied at phase i.
+
+    `domain`, the set of sites the route visits, is computed once at
+    construction; equality, hashing and repr ignore it.
+    """
 
     sites: tuple[str, ...]
+    domain: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
         if not self.sites:
             raise ValueError("route must contain at least one site")
+        object.__setattr__(self, "domain", frozenset(self.sites))
 
     @property
     def period(self) -> int:
         return len(self.sites)
-
-    @cached_property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.sites)
 
     def at(self, t: int) -> str:
         """Site occupied at time t (t may exceed the period)."""
@@ -77,16 +78,18 @@ class RouteSet:
         ids = [c.id for c in self.carriers]
         if len(set(ids)) != len(ids):
             raise ValueError("carrier ids must be unique")
-        seen = dict.fromkeys(chain.from_iterable(c.route.sites for c in self.carriers))
         if not self.sites:
-            object.__setattr__(self, "sites", tuple(seen))
+            object.__setattr__(self, "sites", tuple(self._first_appearances()))
         else:
             object.__setattr__(self, "sites", tuple(self.sites))
             universe = set(self.sites)
             if len(universe) != len(self.sites):
                 raise ValueError("site universe contains duplicates")
-            extra = [s for s in seen if s not in universe]
-            if extra:
+            seen = set()
+            for c in self.carriers:
+                seen |= c.route.domain
+            if not seen <= universe:
+                extra = [s for s in self._first_appearances() if s not in universe]
                 raise ValueError(f"route sites missing from declared universe: {extra}")
             dead = [s for s in self.sites if s not in seen]
             if dead:
@@ -94,6 +97,10 @@ class RouteSet:
         for name in (*ids, *self.sites):  # distinct names only, so the cost is not per phase
             if name.split() != [name]:  # the text format could not write it back
                 raise ValueError(f"name {name!r} is empty or contains whitespace")
+
+    def _first_appearances(self) -> dict[str, None]:
+        """Every route site, in first-appearance order across the routes: one pass over all slots."""
+        return dict.fromkeys(chain.from_iterable(c.route.sites for c in self.carriers))
 
     @classmethod
     def from_routes(
@@ -211,11 +218,20 @@ def _build_schedule(routeset: RouteSet) -> Schedule:
     return Schedule(routes, tuple(company), tuple(quiet))
 
 
+def _simple_edges(route: Route) -> set[tuple[str, str]] | None:
+    """The route's directed edges if it is simple, else None.
+
+    p distinct edges mean none is traversed at two phases; a self-loop is
+    looked up once per site of the domain, not once per phase.
+    """
+    s, dom = route.sites, route.domain
+    edges = set(zip(s, s[1:] + s[:1]))
+    return edges if len(edges) == len(s) and edges.isdisjoint(zip(dom, dom)) else None
+
+
 def is_simple(route: Route) -> bool:
     """No self-loops and no directed edge traversed at two distinct phases."""
-    s = route.sites
-    nxt = s[1:] + s[:1]
-    return not any(map(operator.eq, s, nxt)) and len(set(zip(s, nxt))) == len(s)
+    return _simple_edges(route) is not None
 
 
 def is_irredundant(route: Route) -> bool:
@@ -227,19 +243,17 @@ def is_irredundant(route: Route) -> bool:
     caps the period at 2(n-1). A simple route whose edge set equals its
     reverse pairs its p directed edges into p/2 undirected ones, so at
     p = 2(d-1) those are the d-1 edges of a tree.
+
+    A ring (p = d, every site once) repeats no edge, and has a self-loop only
+    when d = 1, so only a tree tour gets the edge scan.
     """
-    s = route.sites
-    d = len(route.domain)
-    p = len(s)
-    if p not in (d, 2 * (d - 1)) or not is_simple(route):  # the O(1) period shape before the edge scan
-        return False
+    d, p = len(route.domain), route.period
     if p == d:
-        ok = True  # simple cycle: every site exactly once
-    else:
-        nxt = s[1:] + s[:1]
-        ok = set(zip(s, nxt)) == set(zip(nxt, s))  # closed tree walk: each edge once per direction
-    assert not ok or p <= 2 * (d - 1), "irredundant period bound violated"
-    return ok
+        return d > 1
+    if p != 2 * (d - 1):  # the O(1) period shape before the edge scan
+        return False
+    edges = _simple_edges(route)
+    return edges is not None and all((b, a) in edges for a, b in edges)  # each edge once per direction
 
 
 def is_homogeneous(routeset: RouteSet) -> bool:

@@ -90,11 +90,11 @@ def loads(text: str) -> RouteSet:
         if cid in cids:
             raise fail(f"duplicate carrier {cid!r}", ln, 1)
         cids.add(cid)
-        route = toks[3:]
-        if not seen.issuperset(route):
-            i = next(i for i, site in enumerate(route) if site not in seen)
-            raise fail(f"unknown site {route[i]!r}", ln, i + 3)
-        carriers.append(Carrier(cid, Route(tuple(route))))
+        route = Route(tuple(toks[3:]))
+        if not route.domain <= seen:
+            i = next(i for i, site in enumerate(route.sites) if site not in seen)
+            raise fail(f"unknown site {route.sites[i]!r}", ln, i + 3)
+        carriers.append(Carrier(cid, route))
     if not carriers:
         raise ParseError("no carrier lines", content[-1][0])
 

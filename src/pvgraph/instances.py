@@ -151,12 +151,13 @@ def thm4_bound(n: int, k: int, p: int) -> int:
 # simple-route families built on a prime stride table
 
 
-def _stride_row(i: int, m: int) -> list[int]:
-    # carrier i's m*m-long walk over x_0..x_{m-1}: block s steps by stride s+1;
-    # with m prime, rows of two distinct carriers never align, so carriers
-    # collide only where the construction wants. Entry r of block s is
-    # (i + (s+1)*r) % m: a stride-(s+1) slice of 0..m-1 repeated past m*m
-    a, j = list(range(m)) * (m + 1), i % m
+def _stride_row(names: list[str], i: int) -> list[str]:
+    # carrier i's m*m-long walk over the m names x_0..x_{m-1}: block s steps by
+    # stride s+1; with m prime, rows of two distinct carriers never align, so
+    # carriers collide only where the construction wants. Entry r of block s is
+    # x_{(i + (s+1)*r) % m}: a stride-(s+1) slice of the names repeated past m*m
+    m = len(names)
+    a, j = names * (m + 1), i % m
     row = []
     for d in range(1, m + 1):
         row += a[j : j + d * m : d]
@@ -180,7 +181,7 @@ def gen_siho(n: int, k: int) -> RouteSet:
     ys = [f"y{i}" for i in range(1, k + 1)]
     routes = []
     for i in range(1, k + 1):
-        walk = [xs[j] for j in _stride_row(i, m)[1 : m * m - m + 1]]
+        walk = _stride_row(xs, i)[1 : m * m - m + 1]
         routes.append((f"c{i-1}", zs + walk + [ys[i - 1]]))
     return RouteSet.from_routes(routes, IDS, tuple(zs + xs + ys))
 
@@ -220,11 +221,11 @@ def gen_sihe(n: int, k: int) -> RouteSet:
     zs = [f"z{l}" for l in range(1, k)]
 
     # c0: x-stride walk, first half of the w corridor, then the z contact row
-    alpha0 = [xs[j] for j in _stride_row(0, m)[1 : big - ceil_h + 1]]
+    alpha0 = _stride_row(xs, 0)[1 : big - ceil_h + 1]
     routes = [("c0", alpha0 + ws[:ceil_h] + zs)]
     for i in range(1, k):
         # a y-stride walk cut in two around the second half of the corridor
-        row = [ys[j] for j in _stride_row(i, m)]
+        row = _stride_row(ys, i)
         cut = big - nbar // 2 - i + 2
         # z_i meets c0; slot o != i holds v_{(o-i) mod (k-1)}, an index never 0
         zeta = [us[i - 1]] + [

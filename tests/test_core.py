@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import subprocess
 import sys
 import time
@@ -45,6 +47,23 @@ def test_route_domain_and_period():
     r = Route(("a", "b", "a", "c"))
     assert r.period == 4
     assert r.domain == {"a", "b", "c"}
+    assert repr(Route(("a",))) == "Route(sites=('a',))"
+
+
+@settings(max_examples=200, deadline=None)
+@given(sites=st.lists(st.sampled_from("abcdef"), min_size=1, max_size=12),
+       other=st.lists(st.sampled_from("uvwxyz"), min_size=1, max_size=12))
+def test_route_domain_is_a_field_outside_equality_hash_and_repr(sites, other):
+    r = Route(tuple(sites))
+    assert r.domain == frozenset(sites) and isinstance(r.domain, frozenset)
+    assert repr(r) == f"Route(sites={tuple(sites)!r})"
+    twin = Route(tuple(sites))
+    object.__setattr__(twin, "domain", frozenset(other))  # a stale field must not change identity
+    assert twin == r and hash(twin) == hash(r) and repr(twin) == repr(r)
+    moved = dataclasses.replace(r, sites=tuple(other))
+    assert moved.domain == frozenset(other)
+    back = pickle.loads(pickle.dumps(r))
+    assert back == r and back.domain == r.domain
 
 
 @pytest.mark.parametrize("empty", [(), [], (s for s in [])], ids=["tuple", "list", "generator"])
@@ -70,6 +89,18 @@ def test_sites_default_to_first_appearance_order():
 def test_declared_universe_must_cover_routes():
     with pytest.raises(ValueError):
         RouteSet.from_routes([("c0", ["a", "b"])], IDS, ("a",))
+
+
+def test_foreign_route_sites_are_named_in_first_appearance_order():
+    with pytest.raises(ValueError) as ei:
+        RouteSet.from_routes([("c0", ["a", "q", "b", "p"]), ("c1", ["z", "a", "q"])], IDS, ("a", "b"))
+    assert str(ei.value) == "route sites missing from declared universe: ['q', 'p', 'z']"
+
+
+def test_dead_sites_are_named_in_declared_order():
+    with pytest.raises(UnreachableSite) as ei:
+        RouteSet.from_routes([("c0", ["b"]), ("c1", ["d", "b"])], IDS, ("z", "b", "a", "d", "c"))
+    assert str(ei.value) == "site(s) on no route: z, a, c"
 
 
 def test_declared_universe_is_checked_in_linear_time():
@@ -202,12 +233,15 @@ def test_irredundant_tests_the_period_shape_before_the_edge_scan(monkeypatch):
     route = pvgraph.make_instance("siho", 12, 3).routeset.carriers[0].route
     assert is_simple(route) and route.period not in (len(route.domain), 2 * (len(route.domain) - 1))
     calls = []
-    monkeypatch.setattr(core, "is_simple", lambda r: calls.append(r) or _reference_is_simple(r))
+    scan = core._simple_edges
+    monkeypatch.setattr(core, "_simple_edges", lambda r: calls.append(r) or scan(r))
     assert not is_irredundant(route)
     assert calls == []
-    # a ring and a tree tour have the shape, so they still get the edge scan
-    assert is_irredundant(Route(("a", "b", "c"))) and is_irredundant(Route(("a", "b", "c", "b")))
-    assert len(calls) == 2
+    # a ring repeats no edge, so it needs no scan; only the tree tour is scanned
+    assert is_irredundant(Route(("a", "b", "c")))
+    assert calls == []
+    assert is_irredundant(Route(("a", "b", "c", "b")))
+    assert calls == [Route(("a", "b", "c", "b"))]
 
 
 def test_homogeneity():

@@ -53,6 +53,13 @@ def test_sites_count_mismatch():
     assert ei.value.line == 3
 
 
+def test_unknown_route_site_names_its_line_and_column():
+    with pytest.raises(ParseError) as ei:
+        loads("pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : a b ghost\n")
+    assert str(ei.value) == "line 4, column 18: unknown site 'ghost'"
+    assert (ei.value.line, ei.value.column) == (4, 18)
+
+
 def test_duplicate_site_rejected():
     with pytest.raises(ParseError) as ei:
         loads("pvg 1\nmode ids\nsites 2 a a\ncarrier c : a\n")

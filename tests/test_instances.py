@@ -180,7 +180,7 @@ def test_siho_params_and_stride_layout():
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_stride_rows_follow_the_formula(m):
     for i in range(m + 3):
-        assert _stride_row(i, m) == [(i + (s + 1) * r) % m for s in range(m) for r in range(m)]
+        assert _stride_row(list(range(m)), i) == [(i + (s + 1) * r) % m for s in range(m) for r in range(m)]
 
 
 def test_sihe_params():
