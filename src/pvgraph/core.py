@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParameterViolation, UnreachableSite
 
@@ -105,15 +105,14 @@ class RouteSet:
     @classmethod
     def from_routes(
         cls,
-        routes: Mapping[str, Sequence[str]] | Iterable[tuple[str, Sequence[str]]],
+        routes: Iterable[tuple[str, Sequence[str]]],
         mode: str = IDS,
         sites: Sequence[str] = (),
     ) -> "RouteSet":
-        items = routes.items() if isinstance(routes, Mapping) else routes
         # a tuple built from a list is allocated at its exact size; one built
         # from a generator is over-allocated and shrunk, which leaves the
         # free lists of other tuple sizes filling between full collections
-        carriers = tuple([Carrier(cid, Route(tuple(r))) for cid, r in items])
+        carriers = tuple([Carrier(cid, Route(tuple(r))) for cid, r in routes])
         return cls(carriers, mode, tuple(sites))
 
     @property

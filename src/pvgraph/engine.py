@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Protocol
@@ -82,7 +81,7 @@ def _arc(cycle: tuple[str, ...], start: int, moves: int) -> tuple[str, ...]:
     return cycle[start:end] if end <= q else (cycle * -(-end // q))[start:end]
 
 
-class Walk(Sequence):
+class Walk:
     """The moves of a walk, stored as ride segments.
 
     A segment `(carrier, cycle, offset, moves)` makes `moves` moves on
@@ -98,9 +97,11 @@ class Walk(Sequence):
 
     Step i is `TimedEdge(i, carriers[i], froms[i], tos[i])`; the columns are
     derived from the segments each time they are read, and the `TimedEdge`s
-    only when the walk is indexed or iterated. Indexing one step walks the
-    segments, so it costs O(segments). A walk compares equal to, and hashes
-    like, the tuple of its `TimedEdge`s.
+    only when the walk is indexed or iterated. Two walks with the same steps
+    are equal and hash alike however they were built; a walk never equals a
+    tuple. The repr, `Walk(<segments>)`, shows the segments. A slice or
+    `reversed` builds each step once; one index walks the segments, so it
+    costs O(segments).
     """
 
     __slots__ = ("segments", "_moves")
@@ -158,13 +159,9 @@ class Walk(Sequence):
         return self._moves
 
     def __getitem__(self, i):
-        at = range(len(self))[i]  # a step number, or a range for a slice; IndexError past the ends
-        if isinstance(at, range):  # build the steps up to the slice's far end only
-            if not at:
-                return ()
-            lo, hi = sorted((at[0], at[-1]))
-            return tuple(islice(self, lo, hi + 1))[:: at.step]
-        step = at
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        at = step = range(len(self))[i]  # IndexError past the ends
         for cid, cycle, offset, moves in self.segments:
             if at < moves:
                 return TimedEdge(step, cid, *_arc(cycle, offset + at, 2))
@@ -173,20 +170,21 @@ class Walk(Sequence):
     def __iter__(self) -> Iterator[TimedEdge]:
         return map(TimedEdge, count(), *self._columns())
 
+    def __reversed__(self) -> Iterator[TimedEdge]:
+        return reversed(tuple(self))
+
     def __eq__(self, other):
-        if isinstance(other, Walk):
-            if self._moves != other._moves:
-                return False
-            return (self.tos, self.carriers, self.froms) == (other.tos, other.carriers, other.froms)
-        if isinstance(other, tuple):
-            return len(self) == len(other) and tuple(self) == other
-        return NotImplemented
+        if not isinstance(other, Walk):
+            return NotImplemented
+        return self._moves == other._moves and (
+            (self.tos, self.carriers, self.froms) == (other.tos, other.carriers, other.froms)
+        )
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash((self.carriers, self.froms, self.tos))
 
     def __repr__(self) -> str:
-        return f"Walk.of({tuple(self)!r})"
+        return f"Walk({self.segments!r})"
 
 
 @dataclass(frozen=True)

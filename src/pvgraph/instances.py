@@ -46,21 +46,13 @@ def _require(cond: bool, constraint: str) -> None:
         raise ParameterViolation(f"constraint violated: {constraint}")
 
 
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    f = 2
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def _max_prime_below(limit: int) -> int | None:
     """Largest prime strictly below `limit` (trial division; sizes are tiny)."""
     for cand in range(limit - 1, 1, -1):
-        if _is_prime(cand):
+        f = 2
+        while f * f <= cand and cand % f:
+            f += 1
+        if f * f > cand:
             return cand
     return None
 

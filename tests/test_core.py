@@ -16,6 +16,7 @@ from pvgraph import core
 from pvgraph import (
     ANONYMOUS,
     IDS,
+    Carrier,
     Route,
     RouteSet,
     build_meeting_graph,
@@ -119,6 +120,18 @@ def test_dead_declared_site_rejected():
 def test_duplicate_carrier_ids_rejected():
     with pytest.raises(ValueError):
         RouteSet.from_routes([("c0", ["a"]), ("c0", ["b", "a"])], IDS)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: RouteSet((), IDS), "need at least one carrier"),
+    (lambda: RouteSet((Carrier("c0", Route(("a",))),), "both"), "unknown mode 'both'"),
+    (lambda: RouteSet.from_routes([("c0", ["a", "b"])], IDS, ("a", "b", "a")),
+     "site universe contains duplicates"),
+], ids=["no-carriers", "unknown-mode", "duplicate-sites"])
+def test_a_malformed_system_is_rejected_by_name(build, message):
+    with pytest.raises(ValueError) as ei:
+        build()
+    assert str(ei.value) == message
 
 
 @pytest.mark.parametrize("routes", [

@@ -122,7 +122,7 @@ def test_anonymous_mode_hides_site_identity():
 def test_steps_are_indexed_by_time():
     rs = rs_of(["a", "b", "c"])
     tr = run(rs, Scripted([Ride("c0"), Ride("c0")]), "c0")
-    assert tr.steps == (
+    assert tuple(tr.steps) == (
         TimedEdge(0, "c0", "a", "b"),
         TimedEdge(1, "c0", "b", "c"),
     )
@@ -234,23 +234,51 @@ def test_walk_indexes_like_the_tuple_of_its_steps():
 def test_walk_equals_and_hashes_like_its_steps():
     tr, steps = _four_moves()
     walk = tr.steps
-    assert walk == steps and steps == walk and hash(walk) == hash(steps)
     columns = Walk.of(map(TimedEdge, count(), walk.carriers, walk.froms, walk.tos))
-    assert walk == Walk.of(steps) == columns
-    assert walk != steps[:3] and walk != Walk.of(steps[:3]) and walk != list(steps)
+    assert walk == Walk.of(steps) == columns and tuple(walk) == steps
+    assert hash(walk) == hash(Walk.of(steps)) == hash(columns)
+    assert walk != steps and steps != walk  # a walk never equals a tuple
+    assert walk != Walk.of(steps[:3]) and walk != list(steps)
     back = Trace(tr.start_carrier, tuple(tr.steps), tr.halted, tr.visited_sites)
     assert isinstance(back.steps, Walk) and back == tr and hash(back) == hash(tr)
     assert copy.deepcopy(tr) == tr
 
 
-def test_a_walk_slice_builds_the_steps_up_to_its_far_end_only(monkeypatch):
+def test_a_walk_reprs_as_its_segments_without_building_steps(monkeypatch):
+    tr, _ = _four_moves()
+    walk = tr.steps
+    assert repr(walk) == f"Walk({walk.segments!r})"
+    assert eval(repr(walk), {"Walk": Walk}) == walk
+    inst = make_instance("sihe", 48, 5)
+    rs = inst.routeset
+    trace = run(rs, HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs)), inst.start)
+    assert trace.moves > 250_000
+
+    def refuse(*args):
+        raise AssertionError("a TimedEdge was built")
+
+    monkeypatch.setattr(pvgraph.engine, "TimedEdge", refuse)
+    # a TimedEdge repr for each of the 257,599 steps would read ~16 MiB
+    assert len(repr(trace)) < 64 * 1024
+    assert eval(repr(trace.steps), {"Walk": Walk}) == trace.steps
+    assert hash(trace) == hash(copy.deepcopy(trace))
+
+
+def test_a_slice_or_reversed_builds_each_step_once(monkeypatch):
+    tr, steps = _four_moves()
+    assert tuple(reversed(tr.steps)) == tuple(tr.steps)[::-1] == steps[::-1]
     rs = rs_of(["a", "b", "c"])
     walk = run(rs, Scripted([Ride("c0")] * 1000), "c0", move_limit=2000).steps
     assert len(walk) == 1000 and len(walk.segments) == 1
+    assert tuple(reversed(walk)) == tuple(walk)[::-1]
     built = []
     monkeypatch.setattr(pvgraph.engine, "TimedEdge", lambda *step: built.append(step) or step)
-    assert walk[1:3] == ((1, "c0", "b", "c"), (2, "c0", "c", "a")) and len(built) == 3
-    assert walk[4:0:-2] == ((4, "c0", "b", "c"), (2, "c0", "c", "a")) and len(built) == 8
+    scan = mock.Mock(wraps=pvgraph.engine._arc)
+    monkeypatch.setattr(pvgraph.engine, "_arc", scan)
+    assert list(reversed(walk))[:2] == [(999, "c0", "a", "b"), (998, "c0", "c", "a")]
+    # the one step stream: each segment's sites are sliced twice, not once a step
+    assert len(built) == 1000 and scan.call_count == 2
+    assert walk[4:0:-2] == ((4, "c0", "b", "c"), (2, "c0", "c", "a")) and len(built) == 2000
 
 
 def test_run_and_its_readers_build_no_step_objects(monkeypatch):
@@ -279,6 +307,11 @@ def test_move_limit_tags_partial_trace():
     assert tr.move_limit_exceeded
     assert not tr.halted
     assert tr.moves == 5
+
+
+def test_move_limit_must_be_positive():
+    with pytest.raises(ValueError, match="move_limit must be positive"):
+        run(rs_of(["a", "b"]), Scripted([]), "c0", move_limit=0)
 
 
 def test_default_move_limit_formula():

@@ -53,6 +53,12 @@ def test_sites_count_mismatch():
     assert ei.value.line == 3
 
 
+def test_a_site_count_below_one_names_its_line_and_column():
+    with pytest.raises(ParseError) as ei:
+        loads("pvg 1\nmode ids\nsites 0\ncarrier c0 : a\n")
+    assert str(ei.value) == "line 3, column 7: site count must be positive"
+
+
 def test_unknown_route_site_names_its_line_and_column():
     with pytest.raises(ParseError) as ei:
         loads("pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : a b ghost\n")
@@ -106,6 +112,10 @@ def test_truncated_file():
 def test_read_bound_comment():
     assert read_bound_comment(GOLDEN + "# bound 42\n") == 42
     assert read_bound_comment(GOLDEN) is None
+
+
+def test_read_bound_comment_skips_a_bound_that_is_not_an_integer():
+    assert read_bound_comment("# bound x\n# bound 7\n") == 7
 
 
 def test_dump_round_trips(tmp_path):

@@ -16,6 +16,7 @@ from pvgraph import (
     run,
 )
 from pvgraph.core import ANONYMOUS
+from pvgraph.strategies import NoNewSiteTimeout, SiteRevisitHalt
 
 
 def rs_of(*routes, mode=IDS):
@@ -125,6 +126,24 @@ def test_guess_requires_site_identities():
     rs = rs_of(["a", "b"], mode=ANONYMOUS)
     with pytest.raises(NotIdMode):
         run(rs, GuessingRide(2), "c0")
+
+
+@pytest.mark.parametrize("make", [NoNewSiteTimeout, SiteRevisitHalt])
+def test_site_counting_halts_require_site_identities(make):
+    rs = rs_of(["a", "b"], mode=ANONYMOUS)
+    with pytest.raises(NotIdMode):
+        run(rs, make(2), "c0")
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: HitchARide(0), "bound must be >= 1"),
+    (lambda: GuessingRide(0), "n must be >= 1"),
+    (lambda: GuessingRide(3, g0=0), "g0 must be >= 1"),
+], ids=["hitch-bound-0", "guess-n-0", "guess-g0-0"])
+def test_a_strategy_needs_positive_parameters(make, message):
+    with pytest.raises(ValueError) as ei:
+        make()
+    assert str(ei.value) == message
 
 
 def test_guess_respects_cost_budget_across_family_corpus():
