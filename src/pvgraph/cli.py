@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--strategy", choices=["hitch", "guess"], required=True)
     e.add_argument("--bound", type=int, help="period bound for hitch (default: max period)")
     e.add_argument("--homogeneous-known", action="store_true")
-    e.add_argument("--g0", type=int, help="initial guess for guess (default: n)")
     e.add_argument("--start", help="start carrier (default: first)")
     e.add_argument("--move-limit", type=int)
     e.add_argument("-o", "--out", help="write the move-by-move CSV here")
@@ -143,7 +142,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             homogeneous_known=args.homogeneous_known,
         )
     else:
-        strat = GuessingRide(rs.n, g0=args.g0)
+        strat = GuessingRide(rs.n)
     trace = run(rs, strat, start, args.move_limit)
     if args.out:
         _write_text(args.out, trace_to_csv(trace))

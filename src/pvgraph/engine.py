@@ -72,13 +72,27 @@ class TimedEdge:
     to_site: str
 
 
-def _arc(cycle: tuple[str, ...], start: int, moves: int) -> tuple[str, ...]:
+def _arc(cycle: tuple, start: int, moves: int) -> tuple:
     """The sites of `moves` consecutive phases of `cycle` from phase `start` on,
     wrapping round as often as needed."""
     q = len(cycle)
     start %= q
     end = start + moves
     return cycle[start:end] if end <= q else (cycle * -(-end // q))[start:end]
+
+
+def _first_visits(start: str | None, walk: Walk) -> dict[str | None, int]:
+    """Each site the walk stands on, in first-visit order, mapped to the instant
+    it is first stood on: `start` at 0, and step i's arrival at i + 1 (a
+    `start` of None stands for no site). A segment is read for at most one
+    lap of its cycle."""
+    first = {start: 0}
+    t = 1
+    for _, cycle, offset, moves in walk.segments:
+        for i, site in enumerate(_arc(cycle, offset + 1, min(moves, len(cycle))), t):
+            first.setdefault(site, i)
+        t += moves
+    return first
 
 
 class Walk:
@@ -234,9 +248,10 @@ def run(
     partial trace flagged `move_limit_exceeded`, never an exception.
 
     The walk is recorded as one segment per ride on one carrier (see `Walk`):
-    a stop that keeps the carrier extends the open segment. First visits are
-    read from the route only while the carrier's route still holds a site the
-    walk has not seen.
+    a stop that keeps the carrier extends the open segment. `visited_sites`
+    is read from the closed walk by the first-visit pass the CSV and the
+    cover check also read. Only with site identities does the run track the
+    sites it has seen, as indices, for the lone-ride stop at an unseen site.
     """
     if move_limit is None:
         move_limit = default_move_limit(routeset, strategy)
@@ -258,9 +273,8 @@ def run(
     site = routes[c][0]
     segments = []  # the closed ride segments; the open one boarded at instant t0 and phase t0_phase
     t0 = t0_phase = 0
-    visited = [names[site]]
-    seen = {names[site]}
-    done = [False] * len(ids)  # every site of carrier c's route seen
+    seen = {site}  # the site indices stood on; read only with site identities
+    done = [not expose_sites] * len(ids)  # every site of carrier c's route seen
     halted = False
     limit_hit = False
     while True:
@@ -299,8 +313,8 @@ def run(
             # site or where another carrier stands on the site; quiet phases are jumped
             p = periods[c]
             most = min(moves, move_limit - t)
-            if expose_sites and not done[c]:  # capped before the loop scans laps past it
-                ahead = _arc(cycles[c], phase + 1, min(most, p))
+            if not done[c]:  # capped before the loop scans laps past it
+                ahead = _arc(routes[c], phase + 1, min(most, p))
                 if not seen.issuperset(ahead):
                     most = list(map(seen.__contains__, ahead)).index(False) + 1
             lone, listed, route = quiet[c], company[c], routes[c]
@@ -313,22 +327,19 @@ def run(
                 else:
                     j += 1
             j = min(j, most)
-        if not done[c]:  # first visits in order, however many a ride crosses
-            reached = _arc(cycles[c], phase + 1, min(j, periods[c]))
-            if not seen.issuperset(reached):
-                for to in reached:
-                    if to not in seen:
-                        seen.add(to)
-                        visited.append(to)
-            done[c] = seen.issuperset(cycles[c])
         t += j
         site = routes[c][t % periods[c]]
+        if not done[c]:  # a ride stops at its first unseen site, so only its last can be new
+            seen.add(site)
+            done[c] = seen.issuperset(routes[c])
         if t >= move_limit:
             limit_hit = True
             break
     if t > t0:
         segments.append((ids[c], cycles[c], t0_phase, t - t0))
-    return Trace(start_carrier, Walk(segments), halted, tuple(visited), limit_hit)
+    walk = Walk(segments)
+    visited = tuple(_first_visits(cycles[index[start_carrier]][0], walk))
+    return Trace(start_carrier, walk, halted, visited, limit_hit)
 
 
 def _walk_fault(routeset: RouteSet, walk: Trace) -> tuple[int, str] | None:
@@ -373,15 +384,13 @@ def is_concrete_cover(routeset: RouteSet, walk: Trace) -> bool:
     The walk must be consistent, as `replay_check`'s checker (`_walk_fault`)
     judges it, but a violation raises InconsistentWalk rather than returning
     False — an inconsistent walk covers nothing meaningfully. The sites are
-    gathered a segment at a time; one of a lap or more covers its whole cycle.
+    the walk's first visits, read a segment at a time.
     """
     fault = _walk_fault(routeset, walk)
     if fault is not None:
         raise InconsistentWalk(fault[1])
-    covered = {routeset.carrier(walk.start_carrier).route.sites[0]}
-    for _, cycle, offset, moves in walk.steps.segments:
-        covered.update(cycle if moves >= len(cycle) else _arc(cycle, offset + 1, moves))
-    return covered == set(routeset.sites)
+    start = routeset.carrier(walk.start_carrier).route.sites[0]
+    return _first_visits(start, walk.steps).keys() == set(routeset.sites)
 
 
 def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
@@ -429,7 +438,8 @@ def trace_to_csv(trace: Trace) -> str:
     so no row pays for it.
     Each block of `CSV_BLOCK` rows is then a list of five pieces a row,
     filled by slice assignment: the step, the time (the same two pieces) and
-    the tail. Only the first arrivals' tails are patched to end `",1\n"`.
+    the tail. Only the tails of the first arrivals, which the walk's
+    first-visit pass gives, are patched to end `",1\n"`.
     Step i is the block's prefix `str(i // CSV_BLOCK)`, empty in block 0,
     and the digit table's entry for `i % CSV_BLOCK` with its comma,
     zero-padded after a prefix; so no row calls `str()`, and `CSV_BLOCK` must
@@ -439,19 +449,15 @@ def trace_to_csv(trace: Trace) -> str:
     """
     segments = trace.steps.segments
     tails = {}  # (carrier, cycle) -> the row tail of each phase
-    first = {}  # each site's first arrival, in step order
-    t = 0
-    for cid, cycle, offset, moves in segments:
+    for cid, cycle, _, _ in segments:
         if (cid, cycle) not in tails:
             field, *sites = _csv_fields((cid, *cycle))
             arcs = zip(sites, sites[1:] + sites[:1])
             tails[cid, cycle] = tuple(f"{field},{a},{b},0\n" for a, b in arcs)
-        for i, site in enumerate(_arc(cycle, offset + 1, min(moves, len(cycle))), t):
-            first.setdefault(site, i)
-        t += moves
-    if trace.visited_sites:  # arriving back at the start is not new
-        first.pop(trace.visited_sites[0], None)
-    new = list(reversed(first.values()))  # popped in step order
+    t = len(trace.steps)
+    # the first arrivals' steps, popped in step order; a return to the start is not new
+    start = trace.visited_sites[0] if trace.visited_sites else None
+    new = [i - 1 for i in _first_visits(start, trace.steps).values() if i][::-1]
     ends = chain.from_iterable(
         _arc(tails[cid, cycle], offset, moves) for cid, cycle, offset, moves in segments
     )

@@ -365,9 +365,10 @@ class Family:
     """One family: how to build it, its proved bound and the start it pins.
 
     `generate` and `bound` take the parameters named in `params`, in that
-    order; `defaults` fills an unset parameter from n. `start(k)` is the
-    carrier the bound argument parks the agent on. `smallest` is the
-    smallest point the constraints admit, in `params` order.
+    order; `defaults` fills an unset parameter from n. `start` is the index,
+    in the generated system's carriers, of the carrier the bound argument
+    parks the agent on. `smallest` is the smallest point the constraints
+    admit, in `params` order.
     """
 
     name: str
@@ -375,7 +376,7 @@ class Family:
     params: tuple[str, ...]
     generate: Callable[..., RouteSet]
     bound: Callable[..., int] | None
-    start: Callable[[int], str]
+    start: int
     smallest: tuple[int, ...] | None
     defaults: Mapping[str, Callable[[int], int]] = field(default_factory=dict)
 
@@ -384,22 +385,16 @@ class Family:
         return param in self.params and param not in self.defaults
 
 
-def _first_carrier(k: int) -> str:
-    return "c0"
-
-
 FAMILIES = {f.name: f for f in (
     # the adversary parks the agent on the hub, the last carrier
-    Family("thm3", "thm3_arb_homo", ("n", "k", "p"), gen_thm3, thm3_bound,
-           lambda k: f"c{k-1}", (9, 3, 5)),
-    Family("thm4", "thm4_arb_hetero", ("n", "k", "p"), gen_thm4, thm4_bound,
-           _first_carrier, (9, 3, 5)),
-    Family("siho", "siho_simple_homo", ("n", "k"), gen_siho, siho_bound, _first_carrier, (5, 2)),
-    Family("sihe", "sihe_simple_hetero", ("n", "k"), gen_sihe, sihe_bound, _first_carrier, (36, 4)),
-    Family("thm7", "thm7_circ_homo", ("n", "k"), gen_thm7, thm7_bound, _first_carrier, (4, 2)),
-    Family("thm8", "thm8_circ_hetero", ("n", "k"), gen_thm8, thm8_bound, _first_carrier, (7, 3)),
+    Family("thm3", "thm3_arb_homo", ("n", "k", "p"), gen_thm3, thm3_bound, -1, (9, 3, 5)),
+    Family("thm4", "thm4_arb_hetero", ("n", "k", "p"), gen_thm4, thm4_bound, 0, (9, 3, 5)),
+    Family("siho", "siho_simple_homo", ("n", "k"), gen_siho, siho_bound, 0, (5, 2)),
+    Family("sihe", "sihe_simple_hetero", ("n", "k"), gen_sihe, sihe_bound, 0, (36, 4)),
+    Family("thm7", "thm7_circ_homo", ("n", "k"), gen_thm7, thm7_bound, 0, (4, 2)),
+    Family("thm8", "thm8_circ_hetero", ("n", "k"), gen_thm8, thm8_bound, 0, (7, 3)),
     # no worst case, so no bound and no smallest point to pin
-    Family("random", "random", ("n", "k", "p", "seed"), gen_random_feasible, None, _first_carrier,
+    Family("random", "random", ("n", "k", "p", "seed"), gen_random_feasible, None, 0,
            None, {"p": lambda n: max(2, n), "seed": lambda n: 0}),
 )}
 
@@ -437,7 +432,7 @@ def make_instance(
     rs = fam.generate(*args)
     bound = None if fam.bound is None else fam.bound(*args)
     params = tuple(list(zip(fam.params, args)))  # exact size, as in RouteSet.from_routes
-    return Instance(fam.long_name, params, rs, bound, fam.start(k))
+    return Instance(fam.long_name, params, rs, bound, rs.carriers[fam.start].id)
 
 
 # ---------------------------------------------------------------------------

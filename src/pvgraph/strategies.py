@@ -101,26 +101,21 @@ class GuessingRide:
     """Exploration with known site count n, site ids, and no period bound.
 
     Runs depth-first traversal attempts where each riding leg spends at most
-    `guess` moves. A leg that runs dry away from the root backtracks toward
-    its parent; rediscovering anything unexpected, or running dry again,
-    scraps the attempt: the guess doubles and the traversal restarts from
-    wherever the agent is, keeping only the set of sites seen. Halts the
-    instant that set reaches n.
+    `guess` moves, n at first. A leg that runs dry away from the root
+    backtracks toward its parent; rediscovering anything unexpected, or
+    running dry again, scraps the attempt: the guess doubles and the
+    traversal restarts from wherever the agent is, keeping only the set of
+    sites seen. Halts the instant that set reaches n.
     """
 
-    def __init__(self, n: int, g0: int | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if g0 is None:
-            g0 = n
-        if g0 < 1:
-            raise ValueError("g0 must be >= 1")
         self.n = n
-        self.guess = g0
+        self.guess = n
         self.seen_sites: set[str] = set()
-        self._home: str | None = None
         self._known: set[str] = set()  # carriers seen this attempt
-        self._parent: dict[str, str] = {}
+        self._parent: dict[str, str] = {}  # every carrier boarded this attempt but its root
         self._state: tuple[str, str, int] | None = None  # (mode, carrier, instant the leg began)
 
     def decide(self, obs: Observation) -> Action:
@@ -129,10 +124,9 @@ class GuessingRide:
         self.seen_sites.add(obs.site_identity)
         if len(self.seen_sites) >= self.n:
             return HALT
-        cur = obs.current_carrier
         t = obs.time
         if self._state is None:
-            self._restart(cur, t)
+            self._restart(obs.current_carrier, t)
         # transitions that consume no move loop back here; a ride spends the
         # rest of the leg's budget, a move per instant
         while True:
@@ -148,8 +142,8 @@ class GuessingRide:
                     return Ride(child)
                 if spent < self.guess:
                     return Ride(c, self.guess - spent)
-                if c == self._home:
-                    self._restart(cur, t)  # budget spent at the root: bigger guess
+                if c not in self._parent:
+                    self._restart(c, t)  # budget spent at the root: bigger guess
                     continue
                 self._state = ("backtrack", c, t)
                 continue
@@ -159,17 +153,16 @@ class GuessingRide:
                 self._state = ("explore", par, t)
                 return Ride(par)
             if obs.arriving_carriers - self._known or spent >= self.guess:
-                self._restart(cur, t)
+                self._restart(c, t)
                 continue
             return Ride(c, self.guess - spent)
 
-    def _restart(self, cur: str, t: int) -> None:
+    def _restart(self, root: str, t: int) -> None:
         if self._state is not None:
             self.guess *= 2
-        self._home = cur
-        self._known = {cur}
+        self._known = {root}
         self._parent = {}
-        self._state = ("explore", cur, t)
+        self._state = ("explore", root, t)
 
 
 # ---------------------------------------------------------------------------

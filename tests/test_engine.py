@@ -610,8 +610,7 @@ def test_long_rides_match_deciding_every_instant(data):
     rs = rs_of(*[[f"s{x}" for x in r] for r in routes], mode=mode)
     start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
     if mode == IDS and data.draw(st.booleans(), label="guess"):
-        g0 = data.draw(st.integers(1, 12), label="g0")
-        make = lambda: GuessingRide(rs.n, g0)
+        make = lambda: GuessingRide(rs.n)
     else:
         # B < p may leave carriers unmet: such runs still halt, some without covering
         bound = data.draw(st.integers(1, rs.max_period + 2), label="B")
@@ -619,8 +618,13 @@ def test_long_rides_match_deciding_every_instant(data):
         make = lambda: HitchARide(bound, homogeneous_known=known)
     riding, deciding = make(), make()
     limit = default_move_limit(rs, riding)
-    assert run(rs, riding, start, limit) == run(rs, DecideOnly(deciding), start, limit)
+    tr = run(rs, riding, start, limit)
+    assert tr == run(rs, DecideOnly(deciding), start, limit)
     assert vars(riding) == vars(deciding)
+    # the first-visit pass against its definition, over the steps one at a time
+    assert tr.visited_sites == tuple(dict.fromkeys([rs.by_id[start].route.at(0), *tr.steps.tos]))
+    assert trace_to_csv(tr) == reference_csv(tr)
+    assert is_concrete_cover(rs, tr) == (set(tr.visited_sites) == set(rs.sites))
 
 
 def test_a_skip_records_every_first_visit_it_crosses_in_order():

@@ -138,8 +138,7 @@ def test_site_counting_halts_require_site_identities(make):
 @pytest.mark.parametrize("make,message", [
     (lambda: HitchARide(0), "bound must be >= 1"),
     (lambda: GuessingRide(0), "n must be >= 1"),
-    (lambda: GuessingRide(3, g0=0), "g0 must be >= 1"),
-], ids=["hitch-bound-0", "guess-n-0", "guess-g0-0"])
+], ids=["hitch-bound-0", "guess-n-0"])
 def test_a_strategy_needs_positive_parameters(make, message):
     with pytest.raises(ValueError) as ei:
         make()
@@ -159,13 +158,6 @@ def test_guess_respects_cost_budget_across_family_corpus():
             tr = run(rs, GuessingRide(rs.n), c.id)
             assert tr.halted and covered(rs, tr), (family, c.id)
             assert tr.moves < cap, (family, c.id, tr.moves, cap)
-
-
-def test_guess_small_initial_guess_still_converges():
-    inst = make_instance("thm7", 8, 3)
-    rs = inst.routeset
-    tr = run(rs, GuessingRide(rs.n, g0=1), "c0")
-    assert tr.halted and covered(rs, tr)
 
 
 def test_strategies_are_single_use():
