@@ -33,7 +33,6 @@ from .engine import (
     is_concrete_cover,
     replay_check,
     run,
-    summary_line,
     summary_record,
     trace_to_csv,
 )
@@ -73,7 +72,7 @@ __all__ = [
     "Carrier", "MeetingGraph", "Route", "RouteSet", "build_meeting_graph",
     "carriers_at", "is_feasible", "is_homogeneous", "is_irredundant", "is_simple",
     "Halt", "HALT", "Observation", "Ride", "Strategy", "TimedEdge", "Trace", "Walk",
-    "default_move_limit", "is_concrete_cover", "replay_check", "run", "summary_line",
+    "default_move_limit", "is_concrete_cover", "replay_check", "run",
     "summary_record", "trace_to_csv",
     "PVGraphError", "IllegalAction", "InconsistentWalk", "NoCoprimePair",
     "NoSuitablePrime", "NotIdMode", "ParameterViolation", "ParseError",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import fileformat
 from .core import is_feasible, is_homogeneous, is_irredundant, is_simple
-from .engine import run, summary_line, trace_to_csv
+from .engine import run, summary_record, trace_to_csv
 from .errors import PVGraphError, StateSpaceTooLarge
 from .instances import FAMILIES, Instance, forge_thm1, forge_thm2, get_family, make_instance
 from .oracle import DEFAULT_STATE_CAP, audit, min_moves, race
@@ -146,10 +146,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     trace = run(rs, strat, start, args.move_limit)
     if args.out:
         _write_text(args.out, trace_to_csv(trace))
-    print(summary_line(args.infile, args.strategy, rs, trace))
-    if trace.move_limit_exceeded:
+    record = summary_record(args.infile, args.strategy, rs, trace)
+    print(json.dumps(record))
+    if not trace.halted:
         return 3
-    return 0 if (trace.halted and trace.covers(rs)) else 1
+    return 0 if record["covered"] else 1
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

@@ -8,7 +8,6 @@ way to wait at a site. Only this module reads a walk's ride segments.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Protocol
@@ -203,17 +202,17 @@ class Walk:
 
 @dataclass(frozen=True)
 class Trace:
-    """A finished (or cut-off) execution: the concrete walk plus bookkeeping.
+    """An execution: the start carrier, the concrete walk, and whether the
+    strategy halted (False: the move limit cut the run off).
 
     `steps` may be given as any sequence of `TimedEdge`s timed 0, 1, 2, ...;
-    it is stored as a `Walk`.
+    it is stored as a `Walk`. Every other fact about the run, such as the
+    sites it saw, is read from these three.
     """
 
     start_carrier: str
     steps: Walk
     halted: bool
-    visited_sites: tuple[str, ...]  # first-visit order, start site included
-    move_limit_exceeded: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "steps", Walk.of(self.steps))
@@ -223,8 +222,11 @@ class Trace:
         return len(self.steps)
 
     def covers(self, routeset: RouteSet) -> bool:
-        """Did the walk see every site of `routeset`'s universe?"""
-        return set(self.visited_sites) == set(routeset.sites)
+        """Did the walk see every site of `routeset`'s universe? The sites are
+        the start carrier's site at t=0 and the walk's first visits, read a
+        segment at a time; an unknown start carrier is a ParameterViolation."""
+        start = routeset.carrier(self.start_carrier).route.sites[0]
+        return _first_visits(start, self.steps).keys() == set(routeset.sites)
 
 
 def default_move_limit(routeset: RouteSet, strategy: Strategy | None = None) -> int:
@@ -245,13 +247,12 @@ def run(
 
     The first observation happens at t=0 aboard the start carrier, with the
     full arrival set of its starting site. A cut-off run comes back as a
-    partial trace flagged `move_limit_exceeded`, never an exception.
+    partial trace with `halted` False, never an exception.
 
     The walk is recorded as one segment per ride on one carrier (see `Walk`):
-    a stop that keeps the carrier extends the open segment. `visited_sites`
-    is read from the closed walk by the first-visit pass the CSV and the
-    cover check also read. Only with site identities does the run track the
-    sites it has seen, as indices, for the lone-ride stop at an unseen site.
+    a stop that keeps the carrier extends the open segment. Only with site
+    identities does the run track the sites it has seen, as indices, for the
+    lone-ride stop at an unseen site.
     """
     if move_limit is None:
         move_limit = default_move_limit(routeset, strategy)
@@ -276,7 +277,6 @@ def run(
     seen = {site}  # the site indices stood on; read only with site identities
     done = [not expose_sites] * len(ids)  # every site of carrier c's route seen
     halted = False
-    limit_hit = False
     while True:
         phase = t % periods[c]
         mates = company[c][phase]
@@ -333,13 +333,10 @@ def run(
             seen.add(site)
             done[c] = seen.issuperset(routes[c])
         if t >= move_limit:
-            limit_hit = True
             break
     if t > t0:
         segments.append((ids[c], cycles[c], t0_phase, t - t0))
-    walk = Walk(segments)
-    visited = tuple(_first_visits(cycles[index[start_carrier]][0], walk))
-    return Trace(start_carrier, walk, halted, visited, limit_hit)
+    return Trace(start_carrier, Walk(segments), halted)
 
 
 def _walk_fault(routeset: RouteSet, walk: Trace) -> tuple[int, str] | None:
@@ -383,14 +380,13 @@ def is_concrete_cover(routeset: RouteSet, walk: Trace) -> bool:
 
     The walk must be consistent, as `replay_check`'s checker (`_walk_fault`)
     judges it, but a violation raises InconsistentWalk rather than returning
-    False — an inconsistent walk covers nothing meaningfully. The sites are
-    the walk's first visits, read a segment at a time.
+    False — an inconsistent walk covers nothing meaningfully. A consistent
+    walk covers as `Trace.covers` says.
     """
     fault = _walk_fault(routeset, walk)
     if fault is not None:
         raise InconsistentWalk(fault[1])
-    start = routeset.carrier(walk.start_carrier).route.sites[0]
-    return _first_visits(start, walk.steps).keys() == set(routeset.sites)
+    return walk.covers(routeset)
 
 
 def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
@@ -439,7 +435,8 @@ def trace_to_csv(trace: Trace) -> str:
     Each block of `CSV_BLOCK` rows is then a list of five pieces a row,
     filled by slice assignment: the step, the time (the same two pieces) and
     the tail. Only the tails of the first arrivals, which the walk's
-    first-visit pass gives, are patched to end `",1\n"`.
+    first-visit pass gives from step 0's departure on, are patched to end
+    `",1\n"`; a walk with no steps writes only the header.
     Step i is the block's prefix `str(i // CSV_BLOCK)`, empty in block 0,
     and the digit table's entry for `i % CSV_BLOCK` with its comma,
     zero-padded after a prefix; so no row calls `str()`, and `CSV_BLOCK` must
@@ -456,7 +453,7 @@ def trace_to_csv(trace: Trace) -> str:
             tails[cid, cycle] = tuple(f"{field},{a},{b},0\n" for a, b in arcs)
     t = len(trace.steps)
     # the first arrivals' steps, popped in step order; a return to the start is not new
-    start = trace.visited_sites[0] if trace.visited_sites else None
+    start = segments[0][1][segments[0][2]] if segments else None
     new = [i - 1 for i in _first_visits(start, trace.steps).values() if i][::-1]
     ends = chain.from_iterable(
         _arc(tails[cid, cycle], offset, moves) for cid, cycle, offset, moves in segments
@@ -489,7 +486,3 @@ def summary_record(
         "halted": trace.halted,
         "covered": trace.covers(routeset),
     }
-
-
-def summary_line(instance: str, strategy: str, routeset: RouteSet, trace: Trace) -> str:
-    return json.dumps(summary_record(instance, strategy, routeset, trace))

@@ -476,11 +476,11 @@ def forge_thm1(
     )
     trace = _halting_run(g, strategy_factory(n, k), move_limit)
     nodes = _walk_nodes(g, trace)
-    if len(trace.visited_sites) < n:
+    visited = list(dict.fromkeys(nodes))  # first-visit order
+    if len(visited) < n:
         gprime = g  # already fails on G itself: nothing to splice
     else:
-        last = trace.visited_sites[-1]
-        second = trace.visited_sites[-2]
+        last, second = visited[-1], visited[-2]
         t_pen = nodes.index(second)  # discovery instant of site n-2
         alpha = nodes[: t_pen + 1]
         beta = nodes[t_pen + 1 :]
@@ -521,5 +521,5 @@ def forge_thm2(
         [(f"c{i}", nodes + [extra]) for i in range(k)], IDS, tuple(sites) + (extra,)
     )
     retrace = _halting_run(gprime, strategy_factory(k), move_limit)
-    verdict = extra not in retrace.visited_sites
+    verdict = extra not in retrace.steps.tos
     return g, gprime, verdict

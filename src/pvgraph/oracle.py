@@ -148,11 +148,12 @@ def audit(instance, state_cap: int = DEFAULT_STATE_CAP) -> BoundReport:
         report.oracle_max_over_starts = max(per_start.values())
 
     for name, trace in race(rs, instance.start).items():
-        if trace.halted and trace.covers(rs):
+        covered = trace.covers(rs)
+        if trace.halted and covered:
             report.strategy_moves[name] = trace.moves
         else:
             report.notes.append(
-                f"{name}: halted={trace.halted} covered={trace.covers(rs)} "
+                f"{name}: halted={trace.halted} covered={covered} "
                 f"after {trace.moves} moves"
             )
     return report

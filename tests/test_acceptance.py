@@ -130,7 +130,7 @@ def test_criterion_3_guessing_ride(corpus):
         p = rs.max_period
         cap = 12 * rs.k * (p if is_homogeneous(rs) else p * p)
         trace = run(rs, GuessingRide(rs.n), rs.carriers[0].id)
-        covered = set(trace.visited_sites) == set(rs.sites)
+        covered = {rs.carriers[0].route.at(0), *trace.steps.tos} == set(rs.sites)
         worst = max(worst, trace.moves / cap)
         if not (trace.halted and covered and trace.moves < cap):
             bad.append((label, trace.halted, covered, trace.moves, cap))

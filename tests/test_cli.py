@@ -130,7 +130,7 @@ def test_explore_hitch_covers_and_exits_0(tmp_path, capsys):
     rs = loads(path.read_text(encoding="utf-8"))
     trace = run(rs, HitchARide(rs.max_period, homogeneous_known=True), rs.carriers[0].id)
     assert csv_path.read_bytes() == trace_to_csv(trace).encode()
-    assert sum(int(row.rsplit(",", 1)[1]) for row in csv[1:]) == len(trace.visited_sites) - 1
+    assert sum(int(row.rsplit(",", 1)[1]) for row in csv[1:]) == len({rs.carriers[0].route.at(0), *trace.steps.tos}) - 1
 
 
 def test_explore_guess_exits_0(tmp_path, capsys):

