@@ -10,7 +10,6 @@ from .core import (
     ANONYMOUS,
     IDS,
     Carrier,
-    MeetingGraph,
     Route,
     RouteSet,
     build_meeting_graph,
@@ -69,7 +68,7 @@ from .strategies import GuessingRide, HitchARide
 
 __all__ = [
     "ANONYMOUS", "IDS",
-    "Carrier", "MeetingGraph", "Route", "RouteSet", "build_meeting_graph",
+    "Carrier", "Route", "RouteSet", "build_meeting_graph",
     "carriers_at", "is_feasible", "is_homogeneous", "is_irredundant", "is_simple",
     "Halt", "HALT", "Observation", "Ride", "Strategy", "TimedEdge", "Trace", "Walk",
     "default_move_limit", "is_concrete_cover", "replay_check", "run",

@@ -260,53 +260,6 @@ def is_homogeneous(routeset: RouteSet) -> bool:
     return len(periods) == 1
 
 
-class MeetingGraph:
-    """Undirected graph on carriers; an edge means the pair meets somewhere.
-
-    Only which pairs meet is kept, not when or where: feasibility needs
-    nothing more.
-    """
-
-    def __init__(self, routeset: RouteSet, edges: Iterable[tuple[str, str]]):
-        self.nodes = tuple([c.id for c in routeset.carriers])  # exact size, as in from_routes
-        self._order = {c: i for i, c in enumerate(self.nodes)}
-        self._edges = tuple(edges)
-        adj: dict[str, set[str]] = {c: set() for c in self.nodes}
-        for a, b in self._edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = {c: frozenset(v) for c, v in adj.items()}
-
-    def has_edge(self, a: str, b: str) -> bool:
-        mates = self.neighbors(a)
-        if b not in self._adj:
-            raise ParameterViolation(f"no carrier {b!r}")
-        return b in mates
-
-    def neighbors(self, c: str) -> frozenset[str]:
-        try:
-            return self._adj[c]
-        except KeyError:
-            raise ParameterViolation(f"no carrier {c!r}") from None
-
-    def edges(self) -> list[tuple[str, str]]:
-        return list(self._edges)
-
-    def components(self) -> list[frozenset[str]]:
-        out, left = [], set(self.nodes)
-        while left:
-            root = min(left, key=self._order.__getitem__)
-            comp, frontier = {root}, [root]
-            while frontier:
-                for nb in self._adj[frontier.pop()]:
-                    if nb not in comp:
-                        comp.add(nb)
-                        frontier.append(nb)
-            out.append(frozenset(comp))
-            left -= comp
-        return out
-
-
 def _meets(a: Route, b: Route) -> bool:
     """Do the two routes ever stand on one site at one instant?
 
@@ -319,11 +272,17 @@ def _meets(a: Route, b: Route) -> bool:
     return any(not set(x[r::g]).isdisjoint(y[r::g]) for r in range(g))
 
 
-def build_meeting_graph(routeset: RouteSet) -> MeetingGraph:
-    """Find every carrier pair that ever meets (see `_meets`), in carrier order."""
+def build_meeting_graph(routeset: RouteSet) -> dict[str, frozenset[str]]:
+    """Map each carrier id, in carrier order, to the ids of the carriers it
+    ever meets; `_meets` judges each unordered pair once."""
     cs = routeset.carriers
-    edges = [(a.id, b.id) for i, a in enumerate(cs) for b in cs[i + 1:] if _meets(a.route, b.route)]
-    return MeetingGraph(routeset, edges)
+    mates: dict[str, set[str]] = {c.id: set() for c in cs}
+    for i, a in enumerate(cs):
+        for b in cs[i + 1:]:
+            if _meets(a.route, b.route):
+                mates[a.id].add(b.id)
+                mates[b.id].add(a.id)
+    return {c: frozenset(m) for c, m in mates.items()}
 
 
 def is_feasible(routeset: RouteSet) -> bool:

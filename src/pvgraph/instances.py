@@ -439,10 +439,6 @@ def make_instance(
 # impossibility forges
 
 
-def _walk_nodes(rs: RouteSet, trace: Trace) -> list[str]:
-    return [rs.carrier(trace.start_carrier).route.sites[0], *trace.steps.tos]
-
-
 def _halting_run(rs: RouteSet, strategy: Strategy, move_limit: int | None) -> Trace:
     trace = run(rs, strategy, rs.carriers[0].id, move_limit)
     if not trace.halted:
@@ -450,6 +446,32 @@ def _halting_run(rs: RouteSet, strategy: Strategy, move_limit: int | None) -> Tr
             f"strategy still riding after {trace.moves} moves"
         )
     return trace
+
+
+def _forge(
+    n: int,
+    k: int,
+    mode: str,
+    target: Callable[[], Strategy],
+    move_limit: int | None,
+    splice: Callable[[list[str]], list[str]],
+) -> tuple[RouteSet, RouteSet, bool]:
+    """The course both forges share. G is k carriers on one cycle over sites
+    x0..x{n-1}. A fresh target runs on G; if it covers G, G' gives every
+    carrier the route `splice` makes of the walk's site sequence, over G's
+    sites plus any the splice adds. A target that already halts short on G
+    needs no splice: G' is G. The verdict: a fresh target halts on G' without
+    covering it."""
+    sites = tuple([f"x{i}" for i in range(n)])
+    g = RouteSet.from_routes([(f"c{i}", sites) for i in range(k)], mode, sites)
+    trace = _halting_run(g, target(), move_limit)
+    gprime = g
+    if trace.covers(g):
+        route = splice([sites[0], *trace.steps.tos])
+        universe = tuple(dict.fromkeys([*sites, *route]))
+        gprime = RouteSet.from_routes([(c.id, route) for c in g.carriers], mode, universe)
+    retrace = _halting_run(gprime, target(), move_limit)
+    return g, gprime, not retrace.covers(gprime)
 
 
 def forge_thm1(
@@ -465,34 +487,19 @@ def forge_thm1(
     (n-1)-th site is duplicated with the last-found site renamed to the
     second-to-last. Site-blind and fed identical carrier arrivals, the
     strategy replays its action sequence on the spliced system and halts on
-    the decoy — one site short. Returns (G, G', verdict); verdict is True
-    when the replay indeed halted without covering.
+    the decoy — one site short. Returns (G, G', verdict), as `_forge` builds
+    them.
     """
     _require(n >= 3, "n >= 3")
     _require(k >= 1, "k >= 1")
-    sites = [f"x{i}" for i in range(n)]
-    g = RouteSet.from_routes(
-        [(f"c{i}", list(sites)) for i in range(k)], ANONYMOUS, tuple(sites)
-    )
-    trace = _halting_run(g, strategy_factory(n, k), move_limit)
-    nodes = _walk_nodes(g, trace)
-    visited = list(dict.fromkeys(nodes))  # first-visit order
-    if len(visited) < n:
-        gprime = g  # already fails on G itself: nothing to splice
-    else:
-        last, second = visited[-1], visited[-2]
+
+    def splice(nodes: list[str]) -> list[str]:
+        second, last = list(dict.fromkeys(nodes))[-2:]  # the last two sites found
         t_pen = nodes.index(second)  # discovery instant of site n-2
-        alpha = nodes[: t_pen + 1]
-        beta = nodes[t_pen + 1 :]
-        gamma = [second if s == last else s for s in beta]
-        gprime = RouteSet.from_routes(
-            [(f"c{i}", alpha + gamma + beta) for i in range(k)],
-            ANONYMOUS,
-            tuple(sites),
-        )
-    retrace = _halting_run(gprime, strategy_factory(n, k), move_limit)
-    verdict = not retrace.covers(gprime)
-    return g, gprime, verdict
+        alpha, beta = nodes[: t_pen + 1], nodes[t_pen + 1 :]
+        return alpha + [second if s == last else s for s in beta] + beta
+
+    return _forge(n, k, ANONYMOUS, lambda: strategy_factory(n, k), move_limit, splice)
 
 
 def forge_thm2(
@@ -504,22 +511,11 @@ def forge_thm2(
     """Defeat a size-blind strategy even with full site identities.
 
     Record the exact site sequence of its halting walk, then build a system
-    whose route replays that sequence before reaching one extra site. The
-    strategy sees the identical observation stream, halts on schedule, and
-    never learns the extra site existed.
+    whose route replays that sequence before reaching one extra site, x{n}.
+    The strategy sees the identical observation stream, halts on schedule,
+    and never learns the extra site existed. Returns (G, G', verdict), as
+    `_forge` builds them.
     """
     _require(n >= 1, "n >= 1")
     _require(k >= 1, "k >= 1")
-    sites = [f"x{i}" for i in range(n)]
-    g = RouteSet.from_routes(
-        [(f"c{i}", list(sites)) for i in range(k)], IDS, tuple(sites)
-    )
-    trace = _halting_run(g, strategy_factory(k), move_limit)
-    nodes = _walk_nodes(g, trace)
-    extra = f"x{n}"
-    gprime = RouteSet.from_routes(
-        [(f"c{i}", nodes + [extra]) for i in range(k)], IDS, tuple(sites) + (extra,)
-    )
-    retrace = _halting_run(gprime, strategy_factory(k), move_limit)
-    verdict = extra not in retrace.steps.tos
-    return g, gprime, verdict
+    return _forge(n, k, IDS, lambda: strategy_factory(k), move_limit, lambda nodes: nodes + [f"x{n}"])

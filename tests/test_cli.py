@@ -291,6 +291,16 @@ def test_forge_thm2_emits_extended_system(capsys):
     assert loads(rep["gprime"]).n == 5
 
 
+def test_forge_thm2_target_halting_short_on_g_exits_0(capsys):
+    # FixedStepHalt(5) sees 6 of 7 sites on G itself: G' is G, and the verdict holds
+    code, out, err = run_cli(
+        capsys, "forge", "--thm", "2", "--strategy", "fixed-step", "--n", "7", "--k", "1"
+    )
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["verdict"] is True and rep["g"] == rep["gprime"]
+
+
 def test_forge_target_cut_off_by_the_move_limit_exits_3(capsys):
     code, out, err = run_cli(
         capsys, "forge", "--thm", "1", "--strategy", "fixed-step", "--n", "6", "--k", "3", "--move-limit", "2"

@@ -148,11 +148,8 @@ def test_names_the_text_format_cannot_hold_rejected(routes):
 
 def test_unknown_carrier_is_a_parameter_violation():
     rs = rs_of(["a", "b"], ["a", "c"])
-    mg = build_meeting_graph(rs)
-    for lookup in (rs.carrier, mg.neighbors,
-                   lambda c: mg.has_edge(c, "c0"), lambda c: mg.has_edge("c0", c)):
-        with pytest.raises(ParameterViolation, match="no carrier 'nope'"):
-            lookup("nope")
+    with pytest.raises(ParameterViolation, match="no carrier 'nope'"):
+        rs.carrier("nope")
 
 
 def test_simple_route_predicate():
@@ -264,22 +261,20 @@ def test_homogeneity():
 
 def test_meeting_graph_edge_is_symmetric():
     rs = rs_of(["a", "b"], ["a", "c"])
-    mg = build_meeting_graph(rs)
-    assert mg.has_edge("c0", "c1") and mg.has_edge("c1", "c0")
+    assert build_meeting_graph(rs) == {"c0": {"c1"}, "c1": {"c0"}}
 
 
 def test_meeting_graph_no_meeting_despite_shared_sites():
     # same two sites, opposite phase: never co-located
     rs = rs_of(["a", "b"], ["b", "a"])
     mg = build_meeting_graph(rs)
-    assert not mg.has_edge("c0", "c1")
-    assert mg.components() == [frozenset({"c0"}), frozenset({"c1"})]
+    assert mg == {"c0": frozenset(), "c1": frozenset()}
+    assert [component(mg, c) for c in mg] == [{"c0"}, {"c1"}]
 
 
 def test_meeting_graph_heterogeneous_recurrence():
     rs = rs_of(["a", "b"], ["a", "b", "c"])
-    mg = build_meeting_graph(rs)
-    assert mg.has_edge("c0", "c1") and mg.has_edge("c1", "c0")
+    assert build_meeting_graph(rs) == {"c0": {"c1"}, "c1": {"c0"}}
     assert scanned_meetings(rs, "c0", "c1") == (("a", 0), ("b", 1))
 
 
@@ -303,13 +298,16 @@ def test_meeting_graph_matches_joint_period_scan(data):
         for i in range(k)
     ]
     rs = rs_of(*[[f"s{x}" for x in r] for r in routes])
-    mg = build_meeting_graph(rs)
+    with pytest.MonkeyPatch.context() as mp:
+        mg, judged = scanned_pairs(rs, mp, build_meeting_graph)
+    # the keys in carrier order, and each unordered pair judged by `_meets` exactly once
     ids = [c.id for c in rs.carriers]
+    assert list(mg) == ids
+    assert sorted(map(sorted, judged)) == [[i, j] for i in range(k) for j in range(i + 1, k)]
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
     scans = {(a, b): scanned_meetings(rs, a, b) for a, b in pairs}
-    assert mg.edges() == [e for e in pairs if scans[e]]
     for (a, b), meets in scans.items():
-        assert mg.has_edge(a, b) == mg.has_edge(b, a) == bool(meets)
+        assert (b in mg[a]) == (a in mg[b]) == bool(meets)
         # one period: a pair meets exactly where its routes agree phase by phase
         if is_homogeneous(rs):
             x, y = rs.carrier(a).route.sites, rs.carrier(b).route.sites
@@ -336,7 +334,7 @@ def test_feasibility_past_a_joint_period_of_2_to_the_32():
     t0 = time.perf_counter()
     assert is_feasible(rs)
     assert time.perf_counter() - t0 < 1.0
-    assert build_meeting_graph(rs).edges() == [("c0", "c1")]
+    assert build_meeting_graph(rs) == {"c0": {"c1"}, "c1": {"c0"}}
 
 
 def test_import_needs_no_numpy():
@@ -357,20 +355,30 @@ def test_feasibility_needs_component_wide_coverage():
     assert is_feasible(rs_of(["a", "b", "c"]))
 
 
+def component(mg: dict[str, frozenset[str]], root: str) -> set[str]:
+    """Reference: the carriers reachable from root over the meeting-graph mapping."""
+    comp, frontier = {root}, [root]
+    while frontier:
+        fresh = mg[frontier.pop()] - comp
+        comp |= fresh
+        frontier += fresh
+    return comp
+
+
 def component_rule(rs: RouteSet) -> bool:
-    """Reference: every component of the full meeting graph covers the universe."""
-    domains = [set().union(*(rs.carrier(c).route.domain for c in comp))
-               for comp in build_meeting_graph(rs).components()]
-    return all(d == set(rs.sites) for d in domains)
+    """Reference: every component of the full, all-pairs meeting graph covers the universe."""
+    mg = build_meeting_graph(rs)
+    return all(set().union(*(rs.carrier(c).route.domain for c in component(mg, root))) == set(rs.sites)
+               for root in mg)
 
 
-def scanned_pairs(rs: RouteSet, monkeypatch) -> tuple[bool, list[frozenset[int]]]:
-    """`is_feasible` on rs, and the carrier pairs it handed to `_meets`, in order."""
+def scanned_pairs(rs: RouteSet, monkeypatch, scan=is_feasible) -> tuple[object, list[frozenset[int]]]:
+    """`scan` (by default `is_feasible`) on rs, and the carrier pairs it handed to `_meets`, in order."""
     index = {id(c.route): i for i, c in enumerate(rs.carriers)}
     pairs, meets = [], core._meets
     monkeypatch.setattr(core, "_meets", lambda a, b: pairs.append(frozenset((index[id(a)], index[id(b)])))
                         or meets(a, b))
-    return is_feasible(rs), pairs
+    return scan(rs), pairs
 
 
 @st.composite
@@ -420,7 +428,7 @@ def test_feasibility_matches_the_component_rule(rs):
 def test_feasibility_grows_a_chain_through_its_middle(monkeypatch):
     # c0 meets only c2 and c2 meets c1: c1 joins c0's component through c2
     rs = rs_of(["m", "x0"], ["y1", "n"], ["m", "n"])
-    assert build_meeting_graph(rs).edges() == [("c0", "c2"), ("c1", "c2")]
+    assert build_meeting_graph(rs) == {"c0": {"c2"}, "c1": {"c2"}, "c2": {"c0", "c1"}}
     # cut the chain's last link: c1 alone misses sites, and the sweep says so
     assert not is_feasible(rs_of(["m", "x0"], ["n", "y1"], ["m", "n"]))
     feasible, pairs = scanned_pairs(rs, monkeypatch)

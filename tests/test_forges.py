@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from pvgraph import StrategyDidNotHalt, forge_thm1, forge_thm2
+from pvgraph import StrategyDidNotHalt, dumps, exact_feasible, forge_thm1, forge_thm2, is_feasible, loads
 from pvgraph.cli import THM1_TARGETS, THM2_TARGETS
 from pvgraph.strategies import FixedStepHalt
 
@@ -57,6 +57,31 @@ def test_thm2_degenerate_single_site():
     _, gprime, verdict = forge_thm2(lambda k: FixedStepHalt(2), 1, 1)
     assert verdict
     assert gprime.n == 2
+
+
+@pytest.mark.parametrize("n, k", [(7, 1), (12, 1), (12, 2)])
+def test_thm2_target_halting_short_on_g_needs_no_splice(n, k):
+    # 5k steps on one n-cycle miss a site of G itself: G' is G, and the verdict holds
+    g, gprime, verdict = forge_thm2(lambda k: FixedStepHalt(5 * k), n, k)
+    assert verdict
+    assert gprime is g
+
+
+def test_forge_invariants_over_the_target_grid():
+    # every registered target of both theorems, n 3..12 and k 1..5: 300 forges
+    for thm, forge, targets in ((1, forge_thm1, THM1_TARGETS), (2, forge_thm2, THM2_TARGETS)):
+        for name, factory in targets.items():
+            for n in range(3, 13):
+                for k in range(1, 6):
+                    point = (thm, name, n, k)
+                    g, gprime, verdict = forge(factory, n, k)
+                    assert verdict, point
+                    if thm == 1:
+                        assert gprime.sites == g.sites, point
+                    else:
+                        assert gprime is g or gprime.sites == (*g.sites, f"x{n}"), point
+                    assert loads(dumps(gprime)) == gprime, point
+                    assert is_feasible(gprime) == exact_feasible(gprime), point
 
 
 def test_thm2_all_registered_targets_fall():

@@ -10,5 +10,6 @@ def test_the_library_example_runs():
     text = README.read_text(encoding="utf-8")
     section = text[text.index("\n## Library\n"):]
     block = re.search(r"```python\n(.*?)```", section, re.S)
-    assert block is not None and "pv.is_concrete_cover" in block.group(1)
+    assert block is not None
+    assert "pv.is_concrete_cover" in block.group(1) and "pv.build_meeting_graph" in block.group(1)
     exec(compile(block.group(1), f"{README}:## Library", "exec"), {})

@@ -74,8 +74,7 @@ def test_hitch_visits_every_meeting_neighbor():
     rs = inst.routeset
     tr = run(rs, HitchARide(6, homogeneous_known=True), inst.start)
     boarded = {s.carrier for s in tr.steps}
-    mg = build_meeting_graph(rs)
-    assert boarded >= mg.neighbors(inst.start) | {inst.start}
+    assert boarded >= build_meeting_graph(rs)[inst.start] | {inst.start}
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,7 +97,11 @@ def test_hitch_halts_before_the_move_limit_whatever_its_bound(data):
     assert tr.halted
     if bound >= rs.max_period and (is_homogeneous(rs) or not known):
         # an honest bound: the whole meeting-graph component, within (3k-2)B' moves
-        comp = next(c for c in build_meeting_graph(rs).components() if start in c)
+        mg, comp, frontier = build_meeting_graph(rs), {start}, [start]
+        while frontier:  # grow start's component over the mapping
+            fresh = mg[frontier.pop()] - comp
+            comp |= fresh
+            frontier += fresh
         assert {rs.carrier(start).route.at(0), *tr.steps.tos} == {s for c in comp for s in rs.carrier(c).route.domain}
         assert tr.moves <= hitch.move_bound(rs)
 
