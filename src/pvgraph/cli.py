@@ -10,6 +10,7 @@ command exits with the `exit_code` of its class (`errors.py`); a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -51,6 +52,7 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+@functools.cache  # one parser per process: a parser is a web of reference cycles
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pvg", description="periodically varying graph toolkit"

@@ -23,12 +23,13 @@ ANONYMOUS = "anonymous"
 IDS = "ids"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     """An ordered cycle of sites; index i is the site occupied at phase i.
 
-    `domain`, the set of sites the route visits, is computed once at
-    construction; equality, hashing and repr ignore it.
+    `domain`, the set of sites the route visits, is built on first use and
+    kept; equality, hashing and repr ignore it. A route that only rides, as
+    in a search or a simulation, never builds it.
     """
 
     sites: tuple[str, ...]
@@ -38,7 +39,14 @@ class Route:
         object.__setattr__(self, "sites", tuple(self.sites))
         if not self.sites:
             raise ValueError("route must contain at least one site")
-        object.__setattr__(self, "domain", frozenset(self.sites))
+
+    def __getattr__(self, name: str):
+        # reached only while a slot is unset, so `domain` is built once
+        if name != "domain":
+            raise AttributeError(f"'Route' object has no attribute {name!r}")
+        domain = frozenset(self.sites)
+        object.__setattr__(self, "domain", domain)
+        return domain
 
     @property
     def period(self) -> int:
@@ -49,7 +57,7 @@ class Route:
         return self.sites[t % len(self.sites)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Carrier:
     id: str
     route: Route
@@ -87,7 +95,7 @@ class RouteSet:
                 raise ValueError("site universe contains duplicates")
             seen = set()
             for c in self.carriers:
-                seen |= c.route.domain
+                seen.update(c.route.sites)
             if not seen <= universe:
                 extra = [s for s in self._first_appearances() if s not in universe]
                 raise ValueError(f"route sites missing from declared universe: {extra}")
@@ -126,10 +134,6 @@ class RouteSet:
     @cached_property
     def max_period(self) -> int:
         return max(c.route.period for c in self.carriers)
-
-    @cached_property
-    def site_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.sites)}
 
     @cached_property
     def by_id(self) -> dict[str, Carrier]:
@@ -184,7 +188,7 @@ class Schedule:
 
 
 def _build_schedule(routeset: RouteSet) -> Schedule:
-    idx = routeset.site_index
+    idx = {s: i for i, s in enumerate(routeset.sites)}
     routes = tuple(tuple(idx[s] for s in c.route.sites) for c in routeset.carriers)
     holders: list[list[int]] = [[] for _ in routeset.sites]  # carriers whose route holds the site
     for d, r in enumerate(routes):

@@ -1,14 +1,23 @@
-"""Exact optimum by breadth-first search over (site, time, visited-set).
+"""Exact optimum by a time-ordered search over the agent's choice states.
 
 Every move rides one carrier from the agent's site, and any carrier at that
 site may be boarded, so (site, t mod L, visited-mask) captures everything the
-future depends on, where L is the lcm of all periods. All states of BFS layer
-t share the phase t mod L, so the search steps one layer at a time and stores
-only the states it reaches; a cap on their number keeps it from silently
-eating memory.
+future depends on, where L is the lcm of all periods. The agent chooses only
+at a choice instant: one where the carriers on its site go on to two or more
+different sites. Between two such instants it rides one carrier, and the
+search jumps that forced ride in one step. Each forced ride from
+(t mod L, site) is walked once per call, from the schedule's company table as
+`run` does, and remembers the offset at which it first sees each site, so a
+cover completed partway through a ride is timed exactly.
+
+Choice states are popped in time order, each (t mod L, site, mask) kept at its
+earliest time, until no pending state can beat the best cover. A cap on the
+stored choice states plus the instants walked keeps the search from silently
+eating memory or time; nothing is allocated in proportion to n·L.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections.abc import Iterator
@@ -22,6 +31,15 @@ from .strategies import GuessingRide, HitchARide
 DEFAULT_STATE_CAP = 1 << 22
 
 
+def _cover_offset(seen: list[tuple[int, int]], need: int) -> int:
+    """The offset on a ride at which the last of the sites in mask `need` is first seen."""
+    for o, s in seen:
+        need &= ~(1 << s)
+        if not need:
+            return o
+    raise AssertionError("the ride never sees every needed site")
+
+
 def min_moves(
     routeset: RouteSet, start_carrier: str, state_cap: int = DEFAULT_STATE_CAP
 ) -> int | None:
@@ -30,42 +48,125 @@ def min_moves(
     The first move may board any carrier at the start, so the optimum depends
     only on the start carrier's site at t=0. Returns None when no walk from
     that start ever covers the system.
-    Raises StateSpaceTooLarge once more than `state_cap` states are stored.
+    Raises StateSpaceTooLarge once the stored choice states plus the instants
+    walked on forced rides exceed `state_cap`.
     """
-    start = routeset.carrier(start_carrier)
+    routeset.carrier(start_carrier)  # an unknown start is a ParameterViolation
+    sched = routeset.schedule
+    routes, company, quiet = sched.routes, sched.company, sched.quiet
     n = routeset.n
-    L = math.lcm(*(c.route.period for c in routeset.carriers))
-    routes = routeset.schedule.routes
+    L = math.lcm(*map(len, routes))
     full = (1 << n) - 1
-    site = routeset.site_index[start.route.at(0)]
-    mask = 1 << site
-    if mask == full:
+    c0 = [c.id for c in routeset.carriers].index(start_carrier)
+    if 1 << routes[c0][0] == full:
         return 0
 
-    seen = {site << n | mask}
-    frontier = [(site, mask)]
-    t = 0
-    while frontier:
-        if len(seen) > state_cap:
-            raise StateSpaceTooLarge(len(seen), state_cap)
-        # where each site's carriers are one step later: the legal moves
-        hops: dict[int, set[int]] = {}
-        for r in routes:
-            hops.setdefault(r[t % len(r)], set()).add(r[(t + 1) % len(r)])
-        t += 1
-        base = t % L * n
-        nxt = []
-        for site, mask in frontier:
-            for s1 in hops[site]:
-                m1 = mask | 1 << s1
-                if m1 == full:
-                    return t
-                key = (base + s1) << n | m1
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((s1, m1))
-        frontier = nxt
-    return None
+    stored: dict[int, int] = {}  # (phase·n + site) << n | mask of a choice state -> earliest time
+    walked = 0  # instants walked on forced rides: each ride's moves plus its end
+    rides: dict[int, tuple] = {}  # phase·n + site -> (moves or None, phase, site, carrier, seen, mask)
+
+    def ride(t: int, x: int, c: int) -> tuple:
+        """The forced ride aboard c from site x at phase t, walked on first use.
+
+        It ends at the first instant where the carriers on the agent's site
+        part. It records the sites first seen on the way as (offset, site)
+        pairs, in offset order, and their mask. Its move count is None for a
+        forced cycle: after L moves the agent is back where it began, so it
+        never has a choice again. Only the first lap of c's route can show a
+        new site; after it, the phases no other carrier can share are jumped.
+        """
+        nonlocal walked
+        key = t * n + x
+        leg = rides.get(key)
+        if leg is not None:
+            return leg
+        r, mates, lone = routes[c], company[c], quiet[c]
+        p = len(r)
+        budget = state_cap - len(stored) - walked  # a ride costs its moves plus one
+        limit = min(L, budget)
+        seen = []
+        mask = j = 0
+        while j < limit:
+            i = (t + j) % p
+            y = r[i]
+            if j < p:
+                if not mask >> y & 1:
+                    mask |= 1 << y
+                    seen.append((j, y))
+            elif lone[i]:
+                j += lone[i]
+                continue
+            z = r[i + 1 - p]  # the next site: index i + 1, wrapped by a negative index
+            for d in mates[i]:
+                rd = routes[d]
+                pd = len(rd)
+                u = (t + j) % pd
+                if rd[u] == y and rd[u + 1 - pd] != z:
+                    break
+            else:
+                j += 1
+                continue
+            leg = (j, (t + j) % L, y, c, seen, mask)
+            break
+        else:
+            if j >= budget:
+                raise StateSpaceTooLarge(len(stored) + walked + j + 1, state_cap)
+            leg = (None, 0, 0, c, seen, mask)
+        walked += min(j, L) + 1
+        rides[key] = leg
+        return leg
+
+    # the start's own ride: its first choice instant is the first stored state
+    mask = 1 << routes[c0][0]
+    j, phase, x, c, seen, m = ride(0, routes[c0][0], c0)
+    if mask | m == full:
+        return _cover_offset(seen, full & ~mask)
+    if j is None:
+        return None
+    key = (phase * n + x) << n | mask | m
+    stored[key] = j
+    layers = {j: [(key, phase, x, mask | m, c)]}  # time -> the states pending at it
+    times = [j]  # a heap of the times in `layers`
+    branches: dict[int, list[tuple]] = {}  # phase·n + site of a choice instant -> its rides
+    best = math.inf
+    while times:
+        t = heapq.heappop(times)
+        if t + 1 >= best:
+            break
+        for key, phase, x, mask, c in layers.pop(t):
+            if stored[key] < t:
+                continue  # reached earlier since it was laid down
+            legs = branches.get(phase * n + x)
+            if legs is None:
+                # one boarding per next site: any carrier bound there rides the same
+                r = routes[c]
+                nxt = {r[(phase + 1) % len(r)]: c}
+                for d in company[c][phase % len(r)]:
+                    rd = routes[d]
+                    u = phase % len(rd)
+                    if rd[u] == x:
+                        nxt.setdefault(rd[(u + 1) % len(rd)], d)
+                phase1 = (phase + 1) % L
+                legs = branches[phase * n + x] = [ride(phase1, s1, d) for s1, d in nxt.items()]
+            for j, phase1, x1, c1, seen, m in legs:
+                m |= mask
+                if m == full:  # covered on this ride, at the last missing site
+                    best = min(best, t + 1 + _cover_offset(seen, full & ~mask))
+                    continue
+                if j is None or t + j + 2 >= best:
+                    continue  # a forced cycle, or no faster than the best cover
+                t1 = t + 1 + j
+                key = (phase1 * n + x1) << n | m
+                if stored.get(key, math.inf) > t1:
+                    stored[key] = t1
+                    if len(stored) + walked > state_cap:
+                        raise StateSpaceTooLarge(len(stored) + walked, state_cap)
+                    if t1 in layers:
+                        layers[t1].append((key, phase1, x1, m, c1))
+                    else:
+                        layers[t1] = [(key, phase1, x1, m, c1)]
+                        heapq.heappush(times, t1)
+    return None if best == math.inf else best
 
 
 def _per_start(routeset: RouteSet, state_cap: int) -> Iterator[tuple[str, int | None]]:

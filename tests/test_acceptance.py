@@ -160,7 +160,8 @@ def test_criterion_5_remaining_audits(tmp_path):
               ("siho", dict(n=20, k=3), 479), ("siho", dict(n=24, k=4), 1375),
               ("sihe", dict(n=36, k=4), 4183), ("thm8", dict(n=30, k=4), 477),
               ("thm7", dict(n=20, k=5), 80), ("thm4", dict(n=15, k=4, p=7), 87),
-              ("thm3", dict(n=18, k=4, p=8), 24)]
+              ("thm3", dict(n=18, k=4, p=8), 24),
+              ("thm4", dict(n=60, k=10, p=40), 12485), ("sihe", dict(n=48, k=5), 77437)]
     details = []
     ok = True
     for family, kw, floor in points:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,44 @@ from pvgraph.oracle import race
 
 def rs_of(*routes):
     return RouteSet.from_routes([(f"c{i}", list(r)) for i, r in enumerate(routes)], IDS)
+
+
+def layered_min_moves(routeset: RouteSet, start_carrier: str) -> int | None:
+    """The reference optimum: breadth-first search, one layer per move.
+
+    It stores every (site, t mod L, visited-mask) state it reaches, forced or
+    not, and steps all carriers once per layer.
+    """
+    n = routeset.n
+    L = math.lcm(*(c.route.period for c in routeset.carriers))
+    index = {s: i for i, s in enumerate(routeset.sites)}
+    routes = [[index[s] for s in c.route.sites] for c in routeset.carriers]
+    full = (1 << n) - 1
+    site = index[routeset.carrier(start_carrier).route.at(0)]
+    mask = 1 << site
+    if mask == full:
+        return 0
+    seen = {site << n | mask}
+    frontier = [(site, mask)]
+    t = 0
+    while frontier:
+        hops: dict[int, set[int]] = {}  # where each site's carriers are one step later
+        for r in routes:
+            hops.setdefault(r[t % len(r)], set()).add(r[(t + 1) % len(r)])
+        t += 1
+        base = t % L * n
+        nxt = []
+        for site, mask in frontier:
+            for s1 in hops[site]:
+                m1 = mask | 1 << s1
+                if m1 == full:
+                    return t
+                key = (base + s1) << n | m1
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((s1, m1))
+        frontier = nxt
+    return None
 
 
 def test_two_site_loop_needs_one_move():
@@ -55,13 +95,61 @@ def test_duplicate_of_a_carrier_never_hurts():
 
 
 def test_state_cap_enforced():
-    # the cap counts the states the search stores; this search stores more than 100
+    # the cap counts the choice states stored plus the instants walked on
+    # forced rides; this search costs more than 20 of them
     inst = make_instance("thm3", 12, 4, 6)
     with pytest.raises(StateSpaceTooLarge) as ei:
-        min_moves(inst.routeset, inst.start, state_cap=100)
-    assert ei.value.cap == 100
-    assert ei.value.size > 100
+        min_moves(inst.routeset, inst.start, state_cap=20)
+    assert ei.value.cap == 20
+    assert ei.value.size > 20
     assert min_moves(inst.routeset, inst.start) == 19
+
+
+def test_a_ride_that_never_branches_is_refused_at_the_cap():
+    # three carriers on disjoint sites never share one, so the start's ride
+    # never branches; the lcm of the periods is about 10^9, and the walk
+    # stops at the cap rather than riding on towards it
+    rs = rs_of(*([f"{name}{i}" for i in range(p)] for name, p in (("a", 997), ("b", 991), ("c", 983))))
+    assert math.lcm(997, 991, 983) > 10 ** 8
+    with pytest.raises(StateSpaceTooLarge) as ei:
+        min_moves(rs, "c0", state_cap=500)
+    assert ei.value.cap == 500
+    assert ei.value.size > 500
+    with pytest.raises(StateSpaceTooLarge):
+        min_moves(rs, "c0")
+
+
+def test_a_cover_completed_partway_through_a_ride_is_timed_exactly():
+    # the carriers part only on a, at t = 5, 15, 25, ...; from c1's start the
+    # agent boards c0 there and sees e, the last site, 4 moves into a ride
+    # that runs on to t = 15
+    rs = rs_of(["a", "b", "c", "d", "e"], ["f", "a"])
+    assert min_moves(rs, "c1") == layered_min_moves(rs, "c1") == 9
+    assert min_moves(rs, "c0") == layered_min_moves(rs, "c0") == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_choice_search_matches_the_layered_search(data):
+    # mixed periods, up to five carriers; carriers that never meet leave
+    # some starts uncoverable, and both searches must then say None
+    n = data.draw(st.integers(1, 7), label="n")
+    sites = [f"s{i}" for i in range(n)]
+    periods = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=5), label="periods")
+    routes = [data.draw(st.lists(st.sampled_from(sites), min_size=p, max_size=p)) for p in periods]
+    rs = rs_of(*routes)
+    for c in rs.carriers:
+        assert min_moves(rs, c.id) == layered_min_moves(rs, c.id), c.id
+
+
+@pytest.mark.parametrize("point", [
+    ("thm3", 16, 5, 4), ("thm3", 12, 4, 6), ("thm4", 15, 4, 7), ("thm7", 15, 7),
+    ("thm8", 13, 6), ("siho", 20, 3), ("sihe", 36, 4),
+])
+def test_choice_search_matches_the_layered_search_on_family_points(point):
+    rs = make_instance(*point).routeset
+    for c in rs.carriers:
+        assert min_moves(rs, c.id) == layered_min_moves(rs, c.id), c.id
 
 
 @settings(max_examples=100, deadline=None)
