@@ -91,7 +91,7 @@ def loads(text: str) -> RouteSet:
             raise fail(f"duplicate carrier {cid!r}", ln, 1)
         cids.add(cid)
         route = Route(tuple(toks[3:]))
-        if not route.domain <= seen:
+        if not seen.issuperset(route.sites):
             i = next(i for i, site in enumerate(route.sites) if site not in seen)
             raise fail(f"unknown site {route.sites[i]!r}", ln, i + 3)
         carriers.append(Carrier(cid, route))
