@@ -125,6 +125,8 @@ def min_moves(
         return None
     key = (phase * n + x) << n | mask | m
     stored[key] = j
+    if 1 + walked > state_cap:
+        raise StateSpaceTooLarge(1 + walked, state_cap)
     layers = {j: [(key, phase, x, mask | m, c)]}  # time -> the states pending at it
     times = [j]  # a heap of the times in `layers`
     branches: dict[int, list[tuple]] = {}  # phase·n + site of a choice instant -> its rides
@@ -148,7 +150,7 @@ def min_moves(
                         nxt.setdefault(rd[(u + 1) % len(rd)], d)
                 phase1 = (phase + 1) % L
                 legs = branches[phase * n + x] = [ride(phase1, s1, d) for s1, d in nxt.items()]
-            for j, phase1, x1, c1, seen, m in legs:
+            for j, end, x1, c1, seen, m in legs:
                 m |= mask
                 if m == full:  # covered on this ride, at the last missing site
                     best = min(best, t + 1 + _cover_offset(seen, full & ~mask))
@@ -156,15 +158,15 @@ def min_moves(
                 if j is None or t + j + 2 >= best:
                     continue  # a forced cycle, or no faster than the best cover
                 t1 = t + 1 + j
-                key = (phase1 * n + x1) << n | m
+                key = (end * n + x1) << n | m
                 if stored.get(key, math.inf) > t1:
                     stored[key] = t1
                     if len(stored) + walked > state_cap:
                         raise StateSpaceTooLarge(len(stored) + walked, state_cap)
                     if t1 in layers:
-                        layers[t1].append((key, phase1, x1, m, c1))
+                        layers[t1].append((key, end, x1, m, c1))
                     else:
-                        layers[t1] = [(key, phase1, x1, m, c1)]
+                        layers[t1] = [(key, end, x1, m, c1)]
                         heapq.heappush(times, t1)
     return None if best == math.inf else best
 
