@@ -5,9 +5,11 @@ site may be boarded, so (site, t mod L, visited-mask) captures everything the
 future depends on, where L is the lcm of all periods. The agent chooses only
 at a choice instant: one where the carriers on its site go on to two or more
 different sites. Between two such instants it rides one carrier, and the
-search jumps that forced ride in one step. Each forced ride from
-(t mod L, site) is walked once per call, from the schedule's company table as
-`run` does, and remembers the offset at which it first sees each site, so a
+search jumps that forced ride in one step. The start is the first choice
+state, so its first move boards any carrier there as every other choice does.
+The rides leaving a choice instant, (t mod L, site), are walked once per call,
+when that instant is first branched, from the schedule's company table as
+`run` does. Each remembers the offset at which it first sees each site, so a
 cover completed partway through a ride is timed exactly.
 
 Choice states are popped in time order, each (t mod L, site, mask) kept at its
@@ -45,8 +47,9 @@ def min_moves(
 ) -> int | None:
     """Fewest moves to visit every site starting on `start_carrier` at t=0.
 
-    The first move may board any carrier at the start, so the optimum depends
-    only on the start carrier's site at t=0. Returns None when no walk from
+    The start is the first choice state: time 0, the start carrier's t=0 site
+    and a mask of that site alone. Its first move may board any carrier there,
+    so the optimum depends only on that site. Returns None when no walk from
     that start ever covers the system.
     Raises StateSpaceTooLarge once the stored choice states plus the instants
     walked on forced rides exceed `state_cap`.
@@ -58,15 +61,18 @@ def min_moves(
     L = math.lcm(*map(len, routes))
     full = (1 << n) - 1
     c0 = [c.id for c in routeset.carriers].index(start_carrier)
-    if 1 << routes[c0][0] == full:
+    x0 = routes[c0][0]
+    if 1 << x0 == full:
         return 0
 
-    stored: dict[int, int] = {}  # (phase·n + site) << n | mask of a choice state -> earliest time
+    if state_cap < 1:  # the start state alone exceeds the cap
+        raise StateSpaceTooLarge(1, state_cap)
+    key = x0 << n | 1 << x0  # the start state: phase 0, its site, a mask of that site alone
+    stored = {key: 0}  # (phase·n + site) << n | mask of a choice state -> earliest time
     walked = 0  # instants walked on forced rides: each ride's moves plus its end
-    rides: dict[int, tuple] = {}  # phase·n + site -> (moves or None, phase, site, carrier, seen, mask)
 
-    def ride(t: int, x: int, c: int) -> tuple:
-        """The forced ride aboard c from site x at phase t, walked on first use.
+    def ride(t: int, c: int) -> tuple:
+        """The forced ride aboard c from phase t, walked once per choice instant it leaves.
 
         It ends at the first instant where the carriers on the agent's site
         part. It records the sites first seen on the way as (offset, site)
@@ -76,10 +82,6 @@ def min_moves(
         new site; after it, the phases no other carrier can share are jumped.
         """
         nonlocal walked
-        key = t * n + x
-        leg = rides.get(key)
-        if leg is not None:
-            return leg
         r, mates, lone = routes[c], company[c], quiet[c]
         p = len(r)
         budget = state_cap - len(stored) - walked  # a ride costs its moves plus one
@@ -106,29 +108,15 @@ def min_moves(
             else:
                 j += 1
                 continue
-            leg = (j, (t + j) % L, y, c, seen, mask)
-            break
-        else:
-            if j >= budget:
-                raise StateSpaceTooLarge(len(stored) + walked + j + 1, state_cap)
-            leg = (None, 0, 0, c, seen, mask)
-        walked += min(j, L) + 1
-        rides[key] = leg
-        return leg
+            walked += j + 1
+            return j, (t + j) % L, y, c, seen, mask
+        if j >= budget:
+            raise StateSpaceTooLarge(len(stored) + walked + j + 1, state_cap)
+        walked += L + 1
+        return None, 0, 0, c, seen, mask
 
-    # the start's own ride: its first choice instant is the first stored state
-    mask = 1 << routes[c0][0]
-    j, phase, x, c, seen, m = ride(0, routes[c0][0], c0)
-    if mask | m == full:
-        return _cover_offset(seen, full & ~mask)
-    if j is None:
-        return None
-    key = (phase * n + x) << n | mask | m
-    stored[key] = j
-    if 1 + walked > state_cap:
-        raise StateSpaceTooLarge(1 + walked, state_cap)
-    layers = {j: [(key, phase, x, mask | m, c)]}  # time -> the states pending at it
-    times = [j]  # a heap of the times in `layers`
+    layers = {0: [(key, 0, x0, 1 << x0, c0)]}  # time -> the states pending at it
+    times = [0]  # a heap of the times in `layers`
     branches: dict[int, list[tuple]] = {}  # phase·n + site of a choice instant -> its rides
     best = math.inf
     while times:
@@ -149,7 +137,7 @@ def min_moves(
                     if rd[u] == x:
                         nxt.setdefault(rd[(u + 1) % len(rd)], d)
                 phase1 = (phase + 1) % L
-                legs = branches[phase * n + x] = [ride(phase1, s1, d) for s1, d in nxt.items()]
+                legs = branches[phase * n + x] = [ride(phase1, d) for d in nxt.values()]
             for j, end, x1, c1, seen, m in legs:
                 m |= mask
                 if m == full:  # covered on this ride, at the last missing site

@@ -31,11 +31,7 @@ from pvgraph import (
 from pvgraph.engine import Trace, TimedEdge
 from pvgraph.errors import InconsistentWalk, ParameterViolation, UnreachableSite
 
-
-def rs_of(*routes: list[str], mode: str = IDS) -> RouteSet:
-    return RouteSet.from_routes(
-        [(f"c{i}", r) for i, r in enumerate(routes)], mode
-    )
+from helpers import rs_of
 
 
 def test_position_wraps_modulo_period():

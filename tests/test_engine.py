@@ -41,9 +41,7 @@ import pvgraph.engine
 from pvgraph.core import ANONYMOUS
 from pvgraph.engine import _walk_fault
 
-
-def rs_of(*routes, mode=IDS):
-    return RouteSet.from_routes([(f"c{i}", list(r)) for i, r in enumerate(routes)], mode)
+from helpers import rs_of
 
 
 class Scripted:

@@ -22,9 +22,7 @@ from pvgraph import (
 from pvgraph.instances import random_routeset_raw
 from pvgraph.oracle import race
 
-
-def rs_of(*routes):
-    return RouteSet.from_routes([(f"c{i}", list(r)) for i, r in enumerate(routes)], IDS)
+from helpers import rs_of
 
 
 def layered_min_moves(routeset: RouteSet, start_carrier: str) -> int | None:
@@ -106,9 +104,10 @@ def test_state_cap_enforced():
 
 
 def test_a_ride_that_never_branches_is_refused_at_the_cap():
-    # three carriers on disjoint sites never share one, so the start's ride
-    # never branches; the lcm of the periods is about 10^9, and the walk
-    # stops at the cap rather than riding on towards it
+    # three carriers on disjoint sites never share one, so the one ride that
+    # leaves the start state never reaches a choice instant; the lcm of the
+    # periods is about 10^9, and the walk stops at the cap rather than riding
+    # on towards it
     rs = rs_of(*([f"{name}{i}" for i in range(p)] for name, p in (("a", 997), ("b", 991), ("c", 983))))
     assert math.lcm(997, 991, 983) > 10 ** 8
     with pytest.raises(StateSpaceTooLarge) as ei:
@@ -117,6 +116,33 @@ def test_a_ride_that_never_branches_is_refused_at_the_cap():
     assert ei.value.size > 500
     with pytest.raises(StateSpaceTooLarge):
         min_moves(rs, "c0")
+
+
+def test_a_zero_cap_refuses_the_start_state():
+    # the start is the first stored choice state, so no search fits in a cap of 0
+    inst = make_instance("thm3", 12, 4, 6)
+    with pytest.raises(StateSpaceTooLarge) as ei:
+        min_moves(inst.routeset, inst.start, state_cap=0)
+    assert (ei.value.size, ei.value.cap) == (1, 0)
+    # a one-site system is covered at the start, before any state is stored
+    assert min_moves(rs_of(["a"]), "c0", state_cap=0) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_cap_never_changes_an_answer(data):
+    # a capped search gives the uncapped optimum or refuses past its cap
+    n = data.draw(st.integers(1, 7), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    p = data.draw(st.integers(max(1, -(-n // k)), 7), label="p_max")
+    rs = random_routeset_raw(n, k, p, data.draw(st.integers(0, 2 ** 30), label="seed"))
+    start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
+    optimum = min_moves(rs, start)
+    for cap in (0, data.draw(st.integers(0, 60), label="cap")):
+        try:
+            assert min_moves(rs, start, cap) == optimum, cap
+        except StateSpaceTooLarge as e:
+            assert e.size > cap and e.cap == cap, (e.size, e.cap, cap)
 
 
 def test_a_cover_completed_partway_through_a_ride_is_timed_exactly():
@@ -192,22 +218,6 @@ def test_audit_reports_family_instance():
     assert report.notes == []
 
 
-def test_audit_searches_each_start_once(monkeypatch):
-    import pvgraph.oracle as oracle
-
-    calls = []
-    search = oracle.min_moves
-
-    def counted(rs, start, state_cap=None):
-        calls.append(start)
-        return search(rs, start, state_cap)
-
-    monkeypatch.setattr(oracle, "min_moves", counted)
-    report = audit(make_instance("thm8", 13, 3))
-    assert calls == ["c0", "c1", "c2"]
-    assert report.oracle_optimum == 62 and report.oracle_max_over_starts == 62
-
-
 @pytest.fixture
 def search_calls(monkeypatch):
     """The start carriers of every `min_moves` call the oracle makes, in order."""
@@ -222,6 +232,12 @@ def search_calls(monkeypatch):
 
     monkeypatch.setattr(oracle, "min_moves", counted)
     return calls
+
+
+def test_audit_searches_each_start_once(search_calls):
+    report = audit(make_instance("thm8", 13, 3))
+    assert search_calls == ["c0", "c1", "c2"]
+    assert report.oracle_optimum == 62 and report.oracle_max_over_starts == 62
 
 
 def test_audit_searches_a_shared_start_site_once(search_calls):

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 from pvgraph import (
     GuessingRide,
     HitchARide,
-    IDS,
     NotIdMode,
-    RouteSet,
     build_meeting_graph,
     is_concrete_cover,
     is_homogeneous,
@@ -18,9 +16,7 @@ from pvgraph import (
 from pvgraph.core import ANONYMOUS
 from pvgraph.strategies import NoNewSiteTimeout, SiteRevisitHalt
 
-
-def rs_of(*routes, mode=IDS):
-    return RouteSet.from_routes([(f"c{i}", list(r)) for i, r in enumerate(routes)], mode)
+from helpers import rs_of
 
 
 def test_hitch_single_carrier_rides_exactly_b_moves():
