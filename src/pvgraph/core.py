@@ -23,30 +23,26 @@ ANONYMOUS = "anonymous"
 IDS = "ids"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Route:
     """An ordered cycle of sites; index i is the site occupied at phase i.
 
-    `domain`, the set of sites the route visits, is built on first use and
-    kept; equality, hashing and repr ignore it. A route that only rides, as
-    in a search or a simulation, never builds it.
+    `domain`, the set of sites the route visits, is a cached property: the
+    predicates build it on first use, and equality, hashing and repr ignore
+    it. A route that only rides, as in a search or a simulation, never
+    builds it.
     """
 
     sites: tuple[str, ...]
-    domain: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
         if not self.sites:
             raise ValueError("route must contain at least one site")
 
-    def __getattr__(self, name: str):
-        # reached only while a slot is unset, so `domain` is built once
-        if name != "domain":
-            raise AttributeError(f"'Route' object has no attribute {name!r}")
-        domain = frozenset(self.sites)
-        object.__setattr__(self, "domain", domain)
-        return domain
+    @cached_property
+    def domain(self) -> frozenset[str]:
+        return frozenset(self.sites)
 
     @property
     def period(self) -> int:

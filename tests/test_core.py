@@ -17,6 +17,7 @@ from pvgraph import (
     ANONYMOUS,
     IDS,
     Carrier,
+    HitchARide,
     Route,
     RouteSet,
     build_meeting_graph,
@@ -27,11 +28,13 @@ from pvgraph import (
     is_homogeneous,
     is_irredundant,
     is_simple,
+    min_moves,
+    run,
 )
 from pvgraph.engine import Trace, TimedEdge
 from pvgraph.errors import InconsistentWalk, ParameterViolation, UnreachableSite
 
-from helpers import rs_of
+from helpers import drawn_systems, rs_of
 
 
 def test_position_wraps_modulo_period():
@@ -50,17 +53,26 @@ def test_route_domain_and_period():
 @settings(max_examples=200, deadline=None)
 @given(sites=st.lists(st.sampled_from("abcdef"), min_size=1, max_size=12),
        other=st.lists(st.sampled_from("uvwxyz"), min_size=1, max_size=12))
-def test_route_domain_is_a_field_outside_equality_hash_and_repr(sites, other):
+def test_route_domain_is_a_cached_property_outside_equality_hash_and_repr(sites, other):
     r = Route(tuple(sites))
+    assert "domain" not in vars(r)  # not built at construction
     assert r.domain == frozenset(sites) and isinstance(r.domain, frozenset)
+    assert r.domain is r.domain  # built once, then kept
     assert repr(r) == f"Route(sites={tuple(sites)!r})"
     twin = Route(tuple(sites))
-    object.__setattr__(twin, "domain", frozenset(other))  # a stale field must not change identity
+    object.__setattr__(twin, "domain", frozenset(other))  # a stale set must not change identity
     assert twin == r and hash(twin) == hash(r) and repr(twin) == repr(r)
+    same = dataclasses.replace(r)  # a copy builds its own set, not the original's
+    assert "domain" not in vars(same) and same.domain == r.domain and same.domain is not r.domain
     moved = dataclasses.replace(r, sites=tuple(other))
     assert moved.domain == frozenset(other)
     back = pickle.loads(pickle.dumps(r))
     assert back == r and back.domain == r.domain
+    # routes that are only ridden and searched never build the set; both stand on sites[0] at t=0
+    rs = rs_of(sites, [sites[0], *other])
+    assert run(rs, HitchARide(rs.max_period), "c0").covers(rs)
+    assert min_moves(rs, "c0") is not None
+    assert all("domain" not in vars(c.route) for c in rs.carriers)
 
 
 @pytest.mark.parametrize("empty", [(), [], (s for s in [])], ids=["tuple", "list", "generator"])
@@ -284,22 +296,13 @@ def scanned_meetings(rs: RouteSet, a: str, b: str) -> tuple[tuple[str, int], ...
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_meeting_graph_matches_joint_period_scan(data):
-    n = data.draw(st.integers(1, 5), label="n")
-    k = data.draw(st.integers(1, 3), label="k")
-    # independent lengths rarely coincide, so one shared period is drawn on purpose
-    shared = data.draw(st.none() | st.integers(1, 12), label="shared period")
-    lo, hi = (1, 12) if shared is None else (shared, shared)
-    routes = [
-        data.draw(st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi), label=f"c{i}")
-        for i in range(k)
-    ]
-    rs = rs_of(*[[f"s{x}" for x in r] for r in routes])
+    rs = data.draw(drawn_systems(5, 3, 12, shared=True), label="system")
     with pytest.MonkeyPatch.context() as mp:
         mg, judged = scanned_pairs(rs, mp, build_meeting_graph)
     # the keys in carrier order, and each unordered pair judged by `_meets` exactly once
     ids = [c.id for c in rs.carriers]
     assert list(mg) == ids
-    assert sorted(map(sorted, judged)) == [[i, j] for i in range(k) for j in range(i + 1, k)]
+    assert sorted(map(sorted, judged)) == [[i, j] for i in range(rs.k) for j in range(i + 1, rs.k)]
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
     scans = {(a, b): scanned_meetings(rs, a, b) for a, b in pairs}
     for (a, b), meets in scans.items():
@@ -401,18 +404,8 @@ def chained_systems(draw):
     return rs_of(*routes)
 
 
-@st.composite
-def drawn_systems(draw):
-    """Up to 6 carriers with independent routes over up to 5 sites."""
-    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    shared = draw(st.none() | st.integers(1, 8))
-    lo, hi = (1, 8) if shared is None else (shared, shared)
-    routes = [draw(st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi)) for _ in range(k)]
-    return rs_of(*[[f"s{x}" for x in r] for r in routes])
-
-
 @settings(max_examples=300, deadline=None)
-@given(rs=st.one_of(chained_systems(), drawn_systems()))
+@given(rs=st.one_of(chained_systems(), drawn_systems(5, 6, 8, shared=True)))
 def test_feasibility_matches_the_component_rule(rs):
     with pytest.MonkeyPatch.context() as mp:
         feasible, pairs = scanned_pairs(rs, mp)

@@ -41,7 +41,7 @@ import pvgraph.engine
 from pvgraph.core import ANONYMOUS
 from pvgraph.engine import _walk_fault
 
-from helpers import rs_of
+from helpers import drawn_systems, rs_of
 
 
 class Scripted:
@@ -77,15 +77,8 @@ class RandomRider:
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_arrivals_match_the_reference_scan(data):
-    n = data.draw(st.integers(1, 6), label="n")
-    k = data.draw(st.integers(1, 4), label="k")
-    routes = [
-        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12), label=f"c{i}")
-        for i in range(k)
-    ]
-    mode = data.draw(st.sampled_from([IDS, ANONYMOUS]), label="mode")
-    rs = rs_of(*[[f"s{x}" for x in r] for r in routes], mode=mode)
-    moves = math.lcm(*map(len, routes)) + 3  # every phase pairing, then some
+    rs = data.draw(drawn_systems(6, 4, 12, modes=(IDS, ANONYMOUS)), label="system")
+    moves = math.lcm(*(c.route.period for c in rs.carriers)) + 3  # every phase pairing, then some
     rider = RandomRider(data.draw(st.randoms(use_true_random=False)), moves)
     start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
     tr = run(rs, rider, start, move_limit=moves + 1)
@@ -94,7 +87,7 @@ def test_arrivals_match_the_reference_scan(data):
     for obs in rider.seen:
         site = rs.carrier(obs.current_carrier).route.at(obs.time)
         assert obs.arriving_carriers == carriers_at(rs, obs.time, site)
-        assert obs.site_identity == (site if mode == IDS else None)
+        assert obs.site_identity == (site if rs.mode == IDS else None)
 
 
 def test_first_observation_is_time_zero_with_arrivals():
@@ -601,18 +594,9 @@ class RideOn:
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_long_rides_match_deciding_every_instant(data):
-    n = data.draw(st.integers(1, 10), label="n")
-    k = data.draw(st.integers(1, 4), label="k")
-    shared = data.draw(st.none() | st.integers(1, 8), label="shared period")
-    periods = [shared or data.draw(st.integers(1, 8), label=f"p{i}") for i in range(k)]
-    routes = [
-        data.draw(st.lists(st.integers(0, n - 1), min_size=p, max_size=p), label=f"c{i}")
-        for i, p in enumerate(periods)
-    ]
-    mode = data.draw(st.sampled_from([IDS, ANONYMOUS]), label="mode")
-    rs = rs_of(*[[f"s{x}" for x in r] for r in routes], mode=mode)
+    rs = data.draw(drawn_systems(10, 4, 8, shared=True, modes=(IDS, ANONYMOUS)), label="system")
     start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
-    if mode == IDS and data.draw(st.booleans(), label="guess"):
+    if rs.mode == IDS and data.draw(st.booleans(), label="guess"):
         make = lambda: GuessingRide(rs.n)
     else:
         # B < p may leave carriers unmet: such runs still halt, some without covering
@@ -647,14 +631,7 @@ def test_a_skip_records_every_first_visit_it_crosses_in_order():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_a_lone_ride_stops_where_company_stands_and_nowhere_it_need_not(data):
-    n = data.draw(st.integers(1, 6), label="n")
-    k = data.draw(st.integers(1, 4), label="k")
-    routes = [
-        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8), label=f"c{i}")
-        for i in range(k)
-    ]
-    mode = data.draw(st.sampled_from([IDS, ANONYMOUS]), label="mode")
-    rs = rs_of(*[[f"s{x}" for x in r] for r in routes], mode=mode)
+    rs = data.draw(drawn_systems(6, 4, 8, modes=(IDS, ANONYMOUS)), label="system")
     start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
     limit = data.draw(st.integers(1, 80), label="limit")
     rider = RideOn()
@@ -668,7 +645,7 @@ def test_a_lone_ride_stops_where_company_stands_and_nowhere_it_need_not(data):
     assert all(u in asked for u in range(tr.moves) if met[u])  # asked wherever company stands
     for a, u in zip(rider.asked, [*rider.asked[1:], tr.moves]):
         # no ask it could have skipped: after company, company, an unseen site or the limit
-        assert met[a] and u == a + 1 or u == tr.moves or met[u] or (mode == IDS and new[u]), (a, u)
+        assert met[a] and u == a + 1 or u == tr.moves or met[u] or (rs.mode == IDS and new[u]), (a, u)
 
 
 def test_a_move_limit_inside_a_skip_cuts_the_same_partial_trace():
@@ -748,13 +725,7 @@ def reference_fault(rs, trace):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_walk_faults_match_the_step_by_step_reference(data):
-    n = data.draw(st.integers(1, 8), label="n")
-    k = data.draw(st.integers(1, 3), label="k")
-    routes = [
-        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6), label=f"c{i}")
-        for i in range(k)
-    ]
-    rs = rs_of(*[[f"s{x}" for x in r] for r in routes])
+    rs = data.draw(drawn_systems(8, 3, 6), label="system")
     moves = data.draw(st.integers(0, 40), label="moves")
     start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
     rider = RandomRider(data.draw(st.randoms(use_true_random=False)), moves)
@@ -791,17 +762,6 @@ def steps_of(segments):
     return tuple(steps)
 
 
-def drawn_system(data, max_k=3, max_period=6):
-    n = data.draw(st.integers(1, 8), label="n")
-    k = data.draw(st.integers(1, max_k), label="k")
-    routes = [
-        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max_period), label=f"c{i}")
-        for i in range(k)
-    ]
-    mode = data.draw(st.sampled_from([IDS, ANONYMOUS]), label="mode")
-    return rs_of(*[[f"s{x}" for x in r] for r in routes], mode=mode)
-
-
 def drawn_run(data, rs):
     """A run on `rs` by a random rider (short segments) or hitch (long ones)."""
     start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
@@ -816,7 +776,7 @@ def drawn_run(data, rs):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_segment_edits_are_judged_like_the_step_by_step_reference(data):
-    rs = drawn_system(data)
+    rs = data.draw(drawn_systems(8, 3, 6, modes=(IDS, ANONYMOUS)), label="system")
     tr = drawn_run(data, rs)
     segments = list(tr.steps.segments)
     assert tuple(tr.steps) == steps_of(segments)
@@ -893,7 +853,7 @@ def test_a_run_made_walk_and_its_hand_built_copy_agree_on_families(spec, kind):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_a_run_made_walk_and_its_hand_built_copy_agree(data):
-    rs = drawn_system(data, max_k=4, max_period=8)
+    rs = data.draw(drawn_systems(8, 4, 8, modes=(IDS, ANONYMOUS)), label="system")
     assert_the_two_forms_agree(rs, drawn_run(data, rs))
 
 

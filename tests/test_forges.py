@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from pvgraph import StrategyDidNotHalt, dumps, exact_feasible, forge_thm1, forge_thm2, is_feasible, loads
+from pvgraph import (
+    StrategyDidNotHalt, dumps, exact_feasible, forge_thm1, forge_thm2, is_feasible, loads, run,
+)
 from pvgraph.cli import THM1_TARGETS, THM2_TARGETS
 from pvgraph.strategies import FixedStepHalt
 
@@ -67,6 +69,18 @@ def test_thm2_target_halting_short_on_g_needs_no_splice(n, k):
     assert gprime is g
 
 
+class Recorder:
+    """Forwards only `decide` to its target and keeps every observation the target is shown."""
+
+    def __init__(self, target):
+        self.target = target
+        self.seen = []
+
+    def decide(self, obs):
+        self.seen.append(obs)
+        return self.target.decide(obs)
+
+
 def test_forge_invariants_over_the_target_grid():
     # every registered target of both theorems, n 3..12 and k 1..5: 300 forges
     for thm, forge, targets in ((1, forge_thm1, THM1_TARGETS), (2, forge_thm2, THM2_TARGETS)):
@@ -82,6 +96,13 @@ def test_forge_invariants_over_the_target_grid():
                         assert gprime is g or gprime.sites == (*g.sites, f"x{n}"), point
                     assert loads(dumps(gprime)) == gprime, point
                     assert is_feasible(gprime) == exact_feasible(gprime), point
+                    # a fresh target is shown the same observations on G' as on G, up to its halt
+                    seen = []
+                    for system in (g, gprime):
+                        recorder = Recorder(factory(n, k) if thm == 1 else factory(k))
+                        run(system, recorder, system.carriers[0].id)
+                        seen.append(recorder.seen)
+                    assert seen[0] == seen[1], point
 
 
 def test_thm2_all_registered_targets_fall():

@@ -22,7 +22,7 @@ from pvgraph import (
 from pvgraph.instances import random_routeset_raw
 from pvgraph.oracle import race
 
-from helpers import rs_of
+from helpers import drawn_systems, rs_of
 
 
 def layered_min_moves(routeset: RouteSet, start_carrier: str) -> int | None:
@@ -159,11 +159,7 @@ def test_a_cover_completed_partway_through_a_ride_is_timed_exactly():
 def test_choice_search_matches_the_layered_search(data):
     # mixed periods, up to five carriers; carriers that never meet leave
     # some starts uncoverable, and both searches must then say None
-    n = data.draw(st.integers(1, 7), label="n")
-    sites = [f"s{i}" for i in range(n)]
-    periods = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=5), label="periods")
-    routes = [data.draw(st.lists(st.sampled_from(sites), min_size=p, max_size=p)) for p in periods]
-    rs = rs_of(*routes)
+    rs = data.draw(drawn_systems(7, 5, 7), label="system")
     for c in rs.carriers:
         assert min_moves(rs, c.id) == layered_min_moves(rs, c.id), c.id
 

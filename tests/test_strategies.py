@@ -16,7 +16,7 @@ from pvgraph import (
 from pvgraph.core import ANONYMOUS
 from pvgraph.strategies import NoNewSiteTimeout, SiteRevisitHalt
 
-from helpers import rs_of
+from helpers import drawn_systems, rs_of
 
 
 def test_hitch_single_carrier_rides_exactly_b_moves():
@@ -78,13 +78,7 @@ def test_hitch_visits_every_meeting_neighbor():
 def test_hitch_halts_before_the_move_limit_whatever_its_bound(data):
     # a seek waits for a carrier its own route meets again, and the root halts
     # once none it met is pending, so no run rides on until the limit cuts it off
-    n = data.draw(st.integers(1, 8), label="n")
-    k = data.draw(st.integers(1, 4), label="k")
-    routes = [
-        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=7), label=f"c{i}")
-        for i in range(k)
-    ]
-    rs = rs_of(*[[f"s{x}" for x in r] for r in routes], mode=ANONYMOUS)
+    rs = data.draw(drawn_systems(8, 4, 7, modes=(ANONYMOUS,)), label="system")
     start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
     bound = data.draw(st.integers(1, rs.max_period + 2), label="B")
     known = data.draw(st.booleans(), label="homogeneous_known")
