@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat
 from typing import Iterable, Iterator, NamedTuple, Protocol
 
 from .core import IDS, RouteSet
@@ -280,10 +280,12 @@ def run(
     while True:
         phase = t % periods[c]
         mates = company[c][phase]
-        if mates:
-            arriving = frozenset(
-                [ids[c], *(ids[d] for d in mates if routes[d][t % periods[d]] == site)]
-            )
+        if mates:  # plain loops here and in lone rides: a generator costs more than the check
+            present = [ids[c]]
+            for d in mates:
+                if routes[d][t % periods[d]] == site:
+                    present.append(ids[d])
+            arriving = frozenset(present)
         else:
             arriving = alone[c]
         obs = Observation(t, ids[c], arriving, names[site] if expose_sites else None)
@@ -322,10 +324,14 @@ def run(
                 i = (phase + j) % p
                 if lone[i]:
                     j += lone[i]
-                elif any(routes[e][(t + j) % periods[e]] == route[i] for e in listed[i]):
-                    break
+                    continue
+                for e in listed[i]:
+                    if routes[e][(t + j) % periods[e]] == route[i]:
+                        break
                 else:
                     j += 1
+                    continue
+                break  # another carrier stands on the site
             j = min(j, most)
         t += j
         site = routes[c][t % periods[c]]
@@ -434,7 +440,11 @@ def trace_to_csv(trace: Trace) -> str:
     so no row pays for it.
     Each block of `CSV_BLOCK` rows is then a list of five pieces a row,
     filled by slice assignment: the step, the time (the same two pieces) and
-    the tail. Only the tails of the first arrivals, which the walk's
+    the tail. A block's tails are one slice of the current ride's tail
+    table, joined with the next ride's slice where the block spans rides.
+    Neither this nor `run`'s company checks make a generator: on CPython
+    3.11 a generator per check or per block costs more than the check itself.
+    Only the tails of the first arrivals, which the walk's
     first-visit pass gives from step 0's departure on, are patched to end
     `",1\n"`; a walk with no steps writes only the header.
     Step i is the block's prefix `str(i // CSV_BLOCK)`, empty in block 0,
@@ -450,21 +460,29 @@ def trace_to_csv(trace: Trace) -> str:
         if (cid, cycle) not in tails:
             field, *sites = _csv_fields((cid, *cycle))
             arcs = zip(sites, sites[1:] + sites[:1])
-            tails[cid, cycle] = tuple(f"{field},{a},{b},0\n" for a, b in arcs)
+            tails[cid, cycle] = [f"{field},{a},{b},0\n" for a, b in arcs]
+    rides = [(tails[cid, cycle], offset, moves) for cid, cycle, offset, moves in segments]
     t = len(trace.steps)
     # the first arrivals' steps, popped in step order; a return to the start is not new
     start = segments[0][1][segments[0][2]] if segments else None
     new = [i - 1 for i in _first_visits(start, trace.steps).values() if i][::-1]
-    ends = chain.from_iterable(
-        _arc(tails[cid, cycle], offset, moves) for cid, cycle, offset, moves in segments
-    )
+    r = done = 0  # the ride the next row belongs to, and how many of its rows are written
     bare, padded = _csv_digits(CSV_BLOCK)
     blocks = [CSV_HEADER + "\n"]
     for o in range(0, t, CSV_BLOCK):
         n = min(CSV_BLOCK, t - o)
         pieces = [str(o // CSV_BLOCK) if o else ""] * (5 * n)
         pieces[1::5] = pieces[3::5] = (padded if o else bare)[:n]
-        pieces[4::5] = islice(ends, n)
+        parts, left = [], n  # the block's tails: one slice of each ride it crosses
+        while left:
+            cells, offset, moves = rides[r]
+            take = min(left, moves - done)
+            parts.append(_arc(cells, offset + done, take))
+            left -= take
+            done += take
+            if done == moves:
+                r, done = r + 1, 0
+        pieces[4::5] = parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
         while new and new[-1] < o + n:
             i = 5 * (new.pop() - o) + 4
             pieces[i] = pieces[i][:-2] + "1\n"

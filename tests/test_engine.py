@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 import pickle
+import sys
 import tracemalloc
 from itertools import count
 from unittest import mock
@@ -281,6 +282,50 @@ def test_run_and_its_readers_build_no_step_objects(monkeypatch):
     assert replay_check(rs, tr) == (True, None)
     assert is_concrete_cover(rs, tr) and tr.covers(rs)
     assert trace_to_csv(tr).count("\n") == tr.moves + 1
+
+
+def _engine_calls(fn, *args, decide=None):
+    """`fn(*args)`, and the Python-level calls it makes into `pvgraph.engine`
+    (a generator's every resumption counts) and into the code `decide`."""
+    calls = {"engine": 0, "decide": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code.co_filename == pvgraph.engine.__file__:
+                calls["engine"] += 1
+            elif frame.f_code is decide:
+                calls["decide"] += 1
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(before)
+    return out, calls
+
+
+@pytest.mark.parametrize("kind", ["hitch", "guess"])
+def test_run_and_the_csv_make_no_python_call_per_checked_phase_or_row(kind):
+    inst = make_instance("sihe", 36, 4)
+    rs = inst.routeset
+    rs.schedule  # built on first use; a cost of the system, not of the run
+    if kind == "hitch":
+        strategy = HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs))
+    else:
+        strategy = GuessingRide(rs.n)
+    tr, calls = _engine_calls(run, rs, strategy, inst.start, decide=type(strategy).decide.__code__)
+    # the company checks are plain loops: a few calls a decide, none a checked phase
+    assert calls["decide"] > 0 and calls["engine"] <= 2 * calls["decide"] + 20, calls
+    text = trace_to_csv(tr)  # fills the step digit cache, once a process
+    again, calls = _engine_calls(trace_to_csv, tr)
+    segments = tr.steps.segments
+    blocks = -(-tr.moves // pvgraph.engine.CSV_BLOCK)
+    pairs = {(cid, cycle) for cid, cycle, _, _ in segments}
+    bound = 2 * len(segments) + blocks + 2 * len(pairs) + 10
+    # a block's tails are one slice a ride it crosses; no call a move or a cycle phase
+    assert again == text and bound < min(tr.moves, sum(len(cycle) for _, cycle in pairs))
+    assert calls["engine"] <= bound, (calls, len(segments), blocks, len(pairs))
 
 
 def test_move_limit_tags_partial_trace():
@@ -614,6 +659,9 @@ def test_long_rides_match_deciding_every_instant(data):
     here = [rs.by_id[start].route.at(0), *tr.steps.tos]
     assert list(pvgraph.engine._first_visits(here[0], tr.steps)) == list(dict.fromkeys(here))
     assert trace_to_csv(tr) == reference_csv(tr)
+    # blocks of 10 rows: rides start mid-cycle and lap short cycles across block edges
+    with mock.patch.object(pvgraph.engine, "CSV_BLOCK", 10):
+        assert trace_to_csv(tr) == reference_csv(tr)
     assert tr.covers(rs) == is_concrete_cover(rs, tr) == (set(here) == set(rs.sites))
 
 
