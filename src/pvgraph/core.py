@@ -269,7 +269,10 @@ def _meets(a: Route, b: Route) -> bool:
     """
     x, y = a.sites, b.sites
     g = math.gcd(len(x), len(y))
-    return any(not set(x[r::g]).isdisjoint(y[r::g]) for r in range(g))
+    for r in range(g):  # a plain loop: a generator per pair costs more than most scans
+        if not set(x[r::g]).isdisjoint(y[r::g]):
+            return True
+    return False
 
 
 def build_meeting_graph(routeset: RouteSet) -> dict[str, frozenset[str]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count, filterfalse, repeat
 from typing import Iterable, Iterator, NamedTuple, Protocol
 
 from .core import IDS, RouteSet
@@ -51,11 +51,10 @@ class Strategy(Protocol):
     again. It stops at the first instant another carrier actually shares the
     agent's site, at the first site the walk has not seen (with site
     identities), at the move limit, or after `moves` moves, whichever comes
-    first, however many laps of the carrier's route that takes; a switch, or
-    an instant with company on the site, makes one move. The strategy reads
-    how far it got from the next observation's `time`, so it must answer
-    exactly as it would have at each instant skipped. `moves` must be an
-    `int >= 1`.
+    first, however many laps of the carrier's route that takes; a switch
+    makes one move. The strategy reads how far it got from the next
+    observation's `time`, so it must answer exactly as it would have at each
+    instant skipped. `moves` must be an `int >= 1`.
     """
 
     def decide(self, obs: Observation) -> Action: ...
@@ -310,15 +309,16 @@ def run(
             c = d
             phase = t0_phase = t % periods[c]
             t0 = t
-        elif moves > 1 and len(arriving) == 1:
+        elif moves > 1:
             # riding on alone: stop at the asked moves, the limit, the first unseen
             # site or where another carrier stands on the site; quiet phases are jumped
             p = periods[c]
             most = min(moves, move_limit - t)
             if not done[c]:  # capped before the loop scans laps past it
                 ahead = _arc(routes[c], phase + 1, min(most, p))
-                if not seen.issuperset(ahead):
-                    most = list(map(seen.__contains__, ahead)).index(False) + 1
+                unseen = next(filterfalse(seen.__contains__, ahead), None)
+                if unseen is not None:
+                    most = ahead.index(unseen) + 1
             lone, listed, route = quiet[c], company[c], routes[c]
             while j < most:
                 i = (phase + j) % p

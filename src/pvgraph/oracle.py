@@ -7,15 +7,18 @@ at a choice instant: one where the carriers on its site go on to two or more
 different sites. Between two such instants it rides one carrier, and the
 search jumps that forced ride in one step. The start is the first choice
 state, so its first move boards any carrier there as every other choice does.
-The rides leaving a choice instant, (t mod L, site), are walked once per call,
-when that instant is first branched, from the schedule's company table as
-`run` does. Each remembers the offset at which it first sees each site, so a
-cover completed partway through a ride is timed exactly.
+The rides leaving a choice instant, (t mod L, site), do not depend on the
+start. They are walked once per `min_moves`, `audit` or `exact_feasible` call,
+across all its start sites, when that instant is first branched, from the
+schedule's company table as `run` does. Each remembers the offset at which it
+first sees each site, so a cover completed partway through a ride is timed
+exactly.
 
 Choice states are popped in time order, each (t mod L, site, mask) kept at its
 earliest time, until no pending state can beat the best cover. A cap on the
 stored choice states plus the instants walked keeps the search from silently
-eating memory or time; nothing is allocated in proportion to n·L.
+eating memory or time; a search charges a ride another search walked as if it
+had walked it itself. Nothing is allocated in proportion to n·L.
 """
 from __future__ import annotations
 
@@ -54,6 +57,20 @@ def min_moves(
     Raises StateSpaceTooLarge once the stored choice states plus the instants
     walked on forced rides exceed `state_cap`.
     """
+    return _search(routeset, start_carrier, state_cap, {})
+
+
+def _search(
+    routeset: RouteSet, start_carrier: str, state_cap: int, rides: dict[int, tuple[list, int]]
+) -> int | None:
+    """`min_moves`, reading and filling `rides`: phase·n + site of each choice
+    instant -> the forced rides that leave it and the instants they walk.
+
+    The rides leaving an instant do not depend on the start, so the searches
+    of one route set may share the table. Each search charges every ride it
+    uses to its own count, walked here or by an earlier search, so the cap
+    means the same as in a search of its own.
+    """
     routeset.carrier(start_carrier)  # an unknown start is a ParameterViolation
     sched = routeset.schedule
     routes, company, quiet = sched.routes, sched.company, sched.quiet
@@ -72,7 +89,7 @@ def min_moves(
     walked = 0  # instants walked on forced rides: each ride's moves plus its end
 
     def ride(t: int, c: int) -> tuple:
-        """The forced ride aboard c from phase t, walked once per choice instant it leaves.
+        """The forced ride aboard c from phase t, walked once per table of `rides`.
 
         It ends at the first instant where the carriers on the agent's site
         part. It records the sites first seen on the way as (offset, site)
@@ -115,9 +132,34 @@ def min_moves(
         walked += L + 1
         return None, 0, 0, c, seen, mask
 
+    def leave(phase: int, x: int, c: int) -> list[tuple]:
+        """The rides leaving choice instant (phase, x), reached aboard c: walked
+        if no search has walked them yet, else charged as if walked."""
+        nonlocal walked
+        at = phase * n + x
+        if at in rides:
+            legs, cost = rides[at]
+            walked += cost
+            if len(stored) + walked > state_cap:
+                raise StateSpaceTooLarge(len(stored) + walked, state_cap)
+            return legs
+        # one boarding per next site: any carrier bound there rides the same
+        r = routes[c]
+        nxt = {r[(phase + 1) % len(r)]: c}
+        for d in company[c][phase % len(r)]:
+            rd = routes[d]
+            u = phase % len(rd)
+            if rd[u] == x:
+                nxt.setdefault(rd[(u + 1) % len(rd)], d)
+        phase1 = (phase + 1) % L
+        before = walked
+        legs = [ride(phase1, d) for d in nxt.values()]
+        rides[at] = legs, walked - before
+        return legs
+
     layers = {0: [(key, 0, x0, 1 << x0, c0)]}  # time -> the states pending at it
     times = [0]  # a heap of the times in `layers`
-    branches: dict[int, list[tuple]] = {}  # phase·n + site of a choice instant -> its rides
+    branches: dict[int, list[tuple]] = {}  # the choice instants this search has charged -> rides
     best = math.inf
     while times:
         t = heapq.heappop(times)
@@ -128,16 +170,7 @@ def min_moves(
                 continue  # reached earlier since it was laid down
             legs = branches.get(phase * n + x)
             if legs is None:
-                # one boarding per next site: any carrier bound there rides the same
-                r = routes[c]
-                nxt = {r[(phase + 1) % len(r)]: c}
-                for d in company[c][phase % len(r)]:
-                    rd = routes[d]
-                    u = phase % len(rd)
-                    if rd[u] == x:
-                        nxt.setdefault(rd[(u + 1) % len(rd)], d)
-                phase1 = (phase + 1) % L
-                legs = branches[phase * n + x] = [ride(phase1, d) for d in nxt.values()]
+                legs = branches[phase * n + x] = leave(phase, x, c)
             for j, end, x1, c1, seen, m in legs:
                 m |= mask
                 if m == full:  # covered on this ride, at the last missing site
@@ -160,12 +193,14 @@ def min_moves(
 
 
 def _per_start(routeset: RouteSet, state_cap: int) -> Iterator[tuple[str, int | None]]:
-    """Yield (carrier id, optimum) in carrier order, searching each start site once."""
+    """Yield (carrier id, optimum) in carrier order, searching each start site
+    once; the searches share one table of forced rides."""
     by_site: dict[str, int | None] = {}
+    rides: dict[int, tuple[list, int]] = {}
     for c in routeset.carriers:
         site = c.route.at(0)
         if site not in by_site:
-            by_site[site] = min_moves(routeset, c.id, state_cap)
+            by_site[site] = _search(routeset, c.id, state_cap, rides)
         yield c.id, by_site[site]
 
 

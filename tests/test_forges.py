@@ -95,6 +95,8 @@ def test_forge_invariants_over_the_target_grid():
                     else:
                         assert gprime is g or gprime.sites == (*g.sites, f"x{n}"), point
                     assert loads(dumps(gprime)) == gprime, point
+                    # a verdict on a G' no strategy could explore would prove nothing
+                    assert is_feasible(gprime), point
                     assert is_feasible(gprime) == exact_feasible(gprime), point
                     # a fresh target is shown the same observations on G' as on G, up to its halt
                     seen = []

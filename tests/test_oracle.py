@@ -20,7 +20,7 @@ from pvgraph import (
     min_moves,
 )
 from pvgraph.instances import random_routeset_raw
-from pvgraph.oracle import race
+from pvgraph.oracle import DEFAULT_STATE_CAP, _per_start, race
 
 from helpers import drawn_systems, rs_of
 
@@ -216,17 +216,17 @@ def test_audit_reports_family_instance():
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """The start carriers of every `min_moves` call the oracle makes, in order."""
+    """The start carriers of every search `audit` and `exact_feasible` make, in order."""
     import pvgraph.oracle as oracle
 
     calls = []
-    search = oracle.min_moves
+    search = oracle._search
 
-    def counted(rs, start, state_cap=None):
+    def counted(rs, start, state_cap, rides):
         calls.append(start)
-        return search(rs, start, state_cap)
+        return search(rs, start, state_cap, rides)
 
-    monkeypatch.setattr(oracle, "min_moves", counted)
+    monkeypatch.setattr(oracle, "_search", counted)
     return calls
 
 
@@ -283,6 +283,78 @@ def test_per_site_search_matches_a_search_from_every_carrier(data):
     assert report.oracle_max_over_starts == (None if uncoverable else max(plain.values()))
     assert ("some start carrier cannot cover the system" in report.notes) == uncoverable
     assert exact_feasible(rs) == (not uncoverable)
+
+
+REFUSED = "refused"
+
+
+def capped(search, cap: int):
+    """`search()`, or REFUSED where it refuses, which it may only do past `cap`."""
+    try:
+        return search()
+    except StateSpaceTooLarge as e:
+        assert e.size > cap and e.cap == cap, (e.size, e.cap, cap)
+        return REFUSED
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_searches_sharing_one_ride_table_answer_as_searches_of_their_own(data):
+    # the searches behind one audit share their forced rides: wherever a shared and a
+    # lone search both answer they agree, every refusal lies past its cap, and the
+    # carriers' order moves no optimum
+    rs = data.draw(drawn_systems(7, 5, 7), label="system")
+    cap = data.draw(st.integers(0, 400) | st.just(DEFAULT_STATE_CAP), label="cap")
+    start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
+    order = data.draw(st.permutations(rs.carriers), label="order")
+    shuffled = RouteSet.from_routes([(c.id, c.route.sites) for c in order], rs.mode, rs.sites)
+    optima = []  # for each carrier order: carrier id -> optimum, wherever a search answered
+    for system in (rs, shuffled):
+        alone = {c.id: capped(lambda: min_moves(system, c.id, cap), cap) for c in system.carriers}
+        shared = {}
+
+        def collect():  # keeps the starts answered before a refusal
+            for cid, opt in _per_start(system, cap):
+                shared[cid] = opt
+
+        capped(collect, cap)
+        known = {cid: opt for cid, opt in alone.items() if opt is not REFUSED}
+        assert all(known[cid] == opt for cid, opt in shared.items() if cid in known), (alone, shared)
+        known.update(shared)
+        feasible = capped(lambda: exact_feasible(system, cap), cap)
+        if feasible is not REFUSED:
+            assert feasible == (None not in known.values()), (feasible, known)
+        inst = Instance("random", (("n", system.n), ("k", system.k)), system, None, start)
+        report = capped(lambda: audit(inst, cap), cap)
+        if report is not REFUSED:  # then every start site answered
+            assert report.oracle_optimum == known[start]
+            everywhere = None if None in known.values() else max(known.values())
+            assert report.oracle_max_over_starts == everywhere, (report, known)
+        optima.append(known)
+    assert all(optima[0][cid] == optima[1][cid] for cid in optima[0].keys() & optima[1].keys())
+
+
+def least_cap(search) -> int:
+    """The least state cap under which `search(cap)` answers; a search that fits
+    in a cap fits in every larger one, since the cap only decides where it stops."""
+    lo, hi = 0, DEFAULT_STATE_CAP
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if capped(lambda: search(mid), mid) is REFUSED:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_a_search_is_charged_the_rides_another_search_walked():
+    # thm8(13,3)'s three carriers start on three sites, and their searches share one
+    # ride table; each pays for every ride it uses, so together they need the cap
+    # that the costliest start needs alone, not less
+    rs = make_instance("thm8", 13, 3).routeset
+    alone = [least_cap(lambda cap: min_moves(rs, c.id, cap)) for c in rs.carriers]
+    assert len(set(alone)) == 3
+    assert least_cap(lambda cap: exact_feasible(rs, cap)) == max(alone)
 
 
 def test_unknown_start_carrier_is_a_parameter_violation():
