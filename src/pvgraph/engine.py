@@ -26,10 +26,13 @@ class Observation(NamedTuple):
 
 
 class Ride(NamedTuple):
-    """Board or stay on `carrier`; `moves > 1` asks to ride it on alone (see `Strategy`)."""
+    """Board or stay on `carrier`; `moves > 1` asks to ride it on alone, and
+    `past` and `sites` name the stops such a ride may pass (see `Strategy`)."""
 
     carrier: str
     moves: int = 1
+    past: frozenset[str] = frozenset()
+    sites: bool = True
 
 
 @dataclass(frozen=True)
@@ -46,15 +49,17 @@ class Strategy(Protocol):
     """Chooses each action. One with a proved cap on its moves may also define
     `move_bound(routeset) -> int`, and `run` then never cuts it off earlier.
 
-    A `Ride(carrier, moves)` that keeps the current carrier may ride on alone
-    through many instants: `run` makes up to `moves` moves before it asks
-    again. It stops at the first instant another carrier actually shares the
-    agent's site, at the first site the walk has not seen (with site
-    identities), at the move limit, or after `moves` moves, whichever comes
-    first, however many laps of the carrier's route that takes; a switch
-    makes one move. The strategy reads how far it got from the next
-    observation's `time`, so it must answer exactly as it would have at each
-    instant skipped. `moves` must be an `int >= 1`.
+    A `Ride(carrier, moves, past, sites)` that keeps the current carrier may
+    ride on alone through many instants: `run` makes up to `moves` moves
+    before it asks again. It stops at the first instant a carrier whose id is
+    not in `past` shares the agent's site, at the first site the walk has not
+    seen (with site identities, and only if `sites` is true), at the move
+    limit, or after `moves` moves, whichever comes first, however many laps
+    of the carrier's route that takes; a switch makes one move. So `past`
+    names the carriers whose company cannot change the answer, and `sites`
+    False says a site's name cannot. The strategy reads how far it got from
+    the next observation's `time`, so it must answer exactly as it would
+    have at each instant skipped. `moves` must be an `int >= 1`.
     """
 
     def decide(self, obs: Observation) -> Action: ...
@@ -251,7 +256,8 @@ def run(
     The walk is recorded as one segment per ride on one carrier (see `Walk`):
     a stop that keeps the carrier extends the open segment. Only with site
     identities does the run track the sites it has seen, as indices, for the
-    lone-ride stop at an unseen site.
+    lone-ride stop at an unseen site; a ride that passes unseen sites adds
+    them all, so a later ride stops only at sites truly unseen.
     """
     if move_limit is None:
         move_limit = default_move_limit(routeset, strategy)
@@ -294,14 +300,12 @@ def run(
                 halted = True
                 break
             raise IllegalAction(f"strategy returned {action!r}")
-        if action.carrier not in arriving:
-            raise IllegalAction(
-                f"carrier {action.carrier} is not at the agent's site at t={t}"
-            )
-        moves = action.moves
+        cid, moves, past, sites = action
+        if cid not in arriving:
+            raise IllegalAction(f"carrier {cid} is not at the agent's site at t={t}")
         if type(moves) is not int or moves < 1:
             raise IllegalAction(f"ride of {moves!r} moves at t={t}, not an int >= 1")
-        d = index[action.carrier]
+        d = index[cid]
         j = 1
         if d != c:  # a switch: one move on the new carrier, in a new segment
             if t > t0:
@@ -311,10 +315,11 @@ def run(
             t0 = t
         elif moves > 1:
             # riding on alone: stop at the asked moves, the limit, the first unseen
-            # site or where another carrier stands on the site; quiet phases are jumped
+            # site if asked, or where a carrier not passed stands on the site; quiet
+            # phases are jumped
             p = periods[c]
             most = min(moves, move_limit - t)
-            if not done[c]:  # capped before the loop scans laps past it
+            if sites and not done[c]:  # capped before the loop scans laps past it
                 ahead = _arc(routes[c], phase + 1, min(most, p))
                 unseen = next(filterfalse(seen.__contains__, ahead), None)
                 if unseen is not None:
@@ -326,17 +331,20 @@ def run(
                     j += lone[i]
                     continue
                 for e in listed[i]:
-                    if routes[e][(t + j) % periods[e]] == route[i]:
+                    if routes[e][(t + j) % periods[e]] == route[i] and ids[e] not in past:
                         break
                 else:
                     j += 1
                     continue
-                break  # another carrier stands on the site
+                break  # a carrier not passed stands on the site
             j = min(j, most)
         t += j
         site = routes[c][t % periods[c]]
-        if not done[c]:  # a ride stops at its first unseen site, so only its last can be new
-            seen.add(site)
+        if not done[c]:  # a ride that stops at unseen sites can find only its last one new
+            if j == 1 or sites:
+                seen.add(site)
+            else:
+                seen.update(_arc(routes[c], phase + 1, min(j, periods[c])))
             done[c] = seen.issuperset(routes[c])
         if t >= move_limit:
             break

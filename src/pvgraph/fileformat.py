@@ -30,7 +30,10 @@ def loads(text: str) -> RouteSet:
 
     Lines are split with `str.split()`, which splits on exactly the
     characters `_TOKEN` does; a token's column is worked out only when an
-    error names it.
+    error names it. A route site the sites line does not declare is caught
+    by `RouteSet`'s own check, so each slot is read once; the carrier lines
+    are searched for it only when an error is raised, so that the first
+    error in file order is the one reported.
     """
     lines = text.split("\n")
     content = []
@@ -73,32 +76,47 @@ def loads(text: str) -> RouteSet:
     sites = toks[2:]
     if len(sites) != n:
         raise fail(f"expected {n} site names, found {len(sites)}", ln, 2 if sites else 1)
-    seen = set(sites)
-    if len(seen) != n:
+    universe = set(sites)
+    if len(universe) != n:
         first = {}  # name -> index of its first appearance
         i = next(i for i, name in enumerate(sites) if first.setdefault(name, i) != i)
         raise fail(f"duplicate site {sites[i]!r}", ln, i + 2)
 
+    def unknown_site(before: int) -> ParseError | None:
+        """The error at the first undeclared site on a carrier line above line `before`."""
+        for ln, toks in content[3:]:
+            if ln >= before:
+                break
+            for i, site in enumerate(toks[3:], 3):
+                if site not in universe:
+                    return fail(f"unknown site {site!r}", ln, i)
+        return None
+
     carriers = []
     cids = set()
-    for ln, toks in content[3:]:
-        if toks[0] != "carrier":
-            raise fail(f"expected 'carrier', found {toks[0]!r}", ln, 0)
-        if len(toks) < 4 or toks[2] != ":":
-            raise fail("expected 'carrier <id> : <site>...'", ln, min(2, len(toks) - 1))
-        cid = toks[1]
-        if cid in cids:
-            raise fail(f"duplicate carrier {cid!r}", ln, 1)
-        cids.add(cid)
-        route = Route(tuple(toks[3:]))
-        if not seen.issuperset(route.sites):
-            i = next(i for i, site in enumerate(route.sites) if site not in seen)
-            raise fail(f"unknown site {route.sites[i]!r}", ln, i + 3)
-        carriers.append(Carrier(cid, route))
+    try:
+        for ln, toks in content[3:]:
+            if toks[0] != "carrier":
+                raise fail(f"expected 'carrier', found {toks[0]!r}", ln, 0)
+            if len(toks) < 4 or toks[2] != ":":
+                raise fail("expected 'carrier <id> : <site>...'", ln, min(2, len(toks) - 1))
+            cid = toks[1]
+            if cid in cids:
+                raise fail(f"duplicate carrier {cid!r}", ln, 1)
+            cids.add(cid)
+            carriers.append(Carrier(cid, Route(tuple(toks[3:]))))
+    except ParseError as err:
+        raise unknown_site(err.line) or err from None
     if not carriers:
         raise ParseError("no carrier lines", content[-1][0])
 
-    return RouteSet(tuple(carriers), mode, tuple(sites))
+    try:
+        return RouteSet(tuple(carriers), mode, tuple(sites))
+    except ValueError:  # such as a route site missing from the declared universe
+        err = unknown_site(len(lines) + 1)
+        if err is None:
+            raise
+        raise err from None
 
 
 def dumps(routeset: RouteSet) -> str:

@@ -34,6 +34,11 @@ class HitchARide:
     halts: a carrier hands the agent back only when none it met is pending,
     so by then none is pending anywhere. With B >= max period on a coverable
     system this covers the meeting-graph component within (3k-2)*B' moves.
+
+    It never reads a site name, so its rides pass unseen sites
+    (`sites=False`). A visit passes every carrier already visited or
+    pending, whose company it would not record; a seek passes those less its
+    targets, or less its parent once no target is left.
     """
 
     def __init__(self, bound: int, homogeneous_known: bool = False):
@@ -45,6 +50,7 @@ class HitchARide:
         self._parent: dict[str, str | None] = {}  # every carrier visited so far
         self._nbrs: dict[str, set[str]] = {}  # carriers each visit met first
         self._pending: set[str] = set()  # met but not yet visited
+        self._met: frozenset[str] = frozenset()  # visited or pending; rebuilt only as it grows
         # (carrier, end): `end` is the instant its visit ends, None while seeking
         self._state: tuple[str, int | None] | None = None
 
@@ -54,18 +60,20 @@ class HitchARide:
 
     def decide(self, obs: Observation) -> Action:
         if self._state is None:
+            self._met = frozenset((obs.current_carrier,))
             self._enter(None, obs.current_carrier, obs.time)
         c, end = self._state
         if end is None:
             return self._dispatch(c, obs)
         # record first meetings; seeks deliberately don't, so every pending
         # carrier is charged to exactly one visit (tree edges)
-        met = obs.arriving_carriers.difference(self._parent, self._pending)
+        met = obs.arriving_carriers - self._met
         if met:
+            self._met |= met
             self._pending |= met
             self._nbrs[c] |= met
         if obs.time < end:
-            return Ride(c, end - obs.time)
+            return Ride(c, end - obs.time, self._met, False)
         return self._dispatch(c, obs)
 
     def _enter(self, parent: str | None, c: str, t: int) -> None:
@@ -88,9 +96,10 @@ class HitchARide:
                 return HALT  # the root: no carrier is pending anywhere
             if par in obs.arriving_carriers:
                 return self._dispatch(par, obs)  # collapse multi-hop returns
-        # seek: only c's own route guarantees meeting the carrier it waits for
+        # seek: only c's own route guarantees meeting the carrier it waits for;
+        # it passes every carrier met but those it waits for
         self._state = (c, None)
-        return Ride(c, self.visit_len)
+        return Ride(c, self.visit_len, self._met - (targets or {par}), False)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +115,10 @@ class GuessingRide:
     running dry again, scraps the attempt: the guess doubles and the
     traversal restarts from wherever the agent is, keeping only the set of
     sites seen. Halts the instant that set reaches n.
+
+    Its rides pass the carriers known this attempt, less the parent while
+    backtracking. They stop at unseen sites, since a first visit may be the
+    n-th and halt the run.
     """
 
     def __init__(self, n: int):
@@ -114,7 +127,7 @@ class GuessingRide:
         self.n = n
         self.guess = n
         self.seen_sites: set[str] = set()
-        self._known: set[str] = set()  # carriers seen this attempt
+        self._known: frozenset[str] = frozenset()  # carriers seen this attempt
         self._parent: dict[str, str] = {}  # every carrier boarded this attempt but its root
         self._state: tuple[str, str, int] | None = None  # (mode, carrier, instant the leg began)
 
@@ -136,12 +149,12 @@ class GuessingRide:
                 fresh = obs.arriving_carriers - self._known
                 if fresh:
                     child = min(fresh)
-                    self._known.add(child)  # only the boarded one is recorded
+                    self._known |= {child}  # only the boarded one is recorded
                     self._parent[child] = c
                     self._state = ("explore", child, t)
                     return Ride(child)
                 if spent < self.guess:
-                    return Ride(c, self.guess - spent)
+                    return Ride(c, self.guess - spent, self._known)
                 if c not in self._parent:
                     self._restart(c, t)  # budget spent at the root: bigger guess
                     continue
@@ -155,12 +168,12 @@ class GuessingRide:
             if obs.arriving_carriers - self._known or spent >= self.guess:
                 self._restart(c, t)
                 continue
-            return Ride(c, self.guess - spent)
+            return Ride(c, self.guess - spent, self._known - {par})
 
     def _restart(self, root: str, t: int) -> None:
         if self._state is not None:
             self.guess *= 2
-        self._known = {root}
+        self._known = frozenset((root,))
         self._parent = {}
         self._state = ("explore", root, t)
 

@@ -173,8 +173,8 @@ def test_records_are_immutable():
 def test_records_with_equal_fields_are_equal_and_hash_alike():
     for a, b in zip(_records(), _records()):
         assert a is not b and a == b and hash(a) == hash(b)
-    assert isinstance(Ride("c1"), Ride) and Ride("c1") == ("c1", 1) == Ride("c1", 1)
-    assert Ride("c1", 2) == ("c1", 2) and Ride("c1", 2) != Ride("c1")
+    assert isinstance(Ride("c1"), Ride) and Ride("c1") == ("c1", 1, frozenset(), True) == Ride("c1", 1)
+    assert Ride("c1", 2) == ("c1", 2, frozenset(), True) and Ride("c1", 2) != Ride("c1")
     assert Ride("c1") != Ride("c2") and HALT != Ride("c1")
 
 
@@ -697,6 +697,48 @@ def test_a_lone_ride_stops_where_company_stands_and_nowhere_it_need_not(data):
         assert u == tr.moves or met[u] or (rs.mode == IDS and new[u]), (a, u)
 
 
+class RidePast:
+    """Rides its carrier on, each ride drawing its moves (often past the limit),
+    the carriers it passes and whether it passes unseen sites; `rides` holds
+    each ask's `(time, moves, past, sites)`."""
+
+    def __init__(self, rng, ids):
+        self.rng, self.ids = rng, ids
+        self.rides = []
+
+    def decide(self, obs: Observation):
+        rng = self.rng
+        moves = rng.randint(1, 12) if rng.random() < 0.5 else 10**9
+        past = frozenset(x for x in self.ids if rng.random() < 0.5)
+        sites = rng.random() < 0.5
+        self.rides.append((obs.time, moves, past, sites))
+        return Ride(obs.current_carrier, moves, past, sites)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_lone_ride_passes_the_company_and_the_unseen_sites_it_names(data):
+    rs = data.draw(drawn_systems(6, 4, 8, modes=(IDS, ANONYMOUS)), label="system")
+    ids = [c.id for c in rs.carriers]
+    start = data.draw(st.sampled_from(ids), label="start")
+    limit = data.draw(st.integers(1, 80), label="limit")
+    rider = RidePast(data.draw(st.randoms(use_true_random=False), label="rng"), ids)
+    tr = run(rs, rider, start, move_limit=limit)
+    assert tr == run(rs, DecideOnly(RideOn()), start, move_limit=limit)
+    here = [rs.by_id[start].route.at(0), *tr.steps.tos]  # the agent's site at each instant
+    new = [here[u] not in here[:u] for u in range(tr.moves)]
+    asked = [a for a, _, _, _ in rider.rides]
+    assert asked[0] == 0
+    for (a, moves, past, sites), u in zip(rider.rides, [*asked[1:], tr.moves]):
+        # each ride stops at its first instant where a carrier it does not pass stands,
+        # or at an unseen site if it asks to and the system names sites; else after
+        # its moves or at the limit. Sites an earlier ride passed are seen.
+        due = [v for v in range(a + 1, min(a + moves, tr.moves))
+               if any(x != start and x not in past for x in carriers_at(rs, v, here[v]))
+               or (sites and rs.mode == IDS and new[v])]
+        assert u == min([*due, a + moves, tr.moves]), (a, u, moves, past, sites)
+
+
 def test_a_move_limit_inside_a_skip_cuts_the_same_partial_trace():
     rs = rs_of(["a", "b", "c", "d", "e"], mode=ANONYMOUS)
     rider = RideOn()
@@ -750,6 +792,22 @@ def test_a_wrapper_that_forwards_only_decide_keeps_the_long_rides(kind):
     assert tr.halted and tr.covers(rs)
     assert tr == run(rs, DecideProxy(wrapped), inst.start, limit)
     assert bare.calls == wrapped.calls < tr.moves / 100
+
+
+@pytest.mark.parametrize("spec", [("sihe", 36, 4, None), ("random", 40, 8, 30)])
+def test_hitch_rides_alike_with_and_without_site_names(spec):
+    inst = make_instance(*spec, seed=1)
+    rs = inst.routeset
+    anonymous = RouteSet(rs.carriers, ANONYMOUS, rs.sites)
+    make = lambda: counted(HitchARide)(rs.max_period, homogeneous_known=is_homogeneous(rs))
+    named, blind = make(), make()
+    tr = run(rs, named, inst.start)
+    assert tr.halted and tr == run(anonymous, blind, inst.start)
+    # hitch never reads a site name, so its rides pass unseen sites: the same asks
+    assert named.calls == blind.calls
+    if spec[0] == "random":  # guess stops at unseen sites, but passes the carriers it knows
+        guess = counted(GuessingRide)(rs.n)
+        assert run(rs, guess, inst.start).halted and guess.calls < 100
 
 
 def reference_fault(rs, trace):

@@ -66,6 +66,16 @@ def test_unknown_route_site_names_its_line_and_column():
     assert (ei.value.line, ei.value.column) == (4, 18)
 
 
+def test_an_unknown_site_wins_over_a_later_malformed_line():
+    text = "pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : a ghost\ncarrier c1 : b\ncarrier c2 a\n"
+    with pytest.raises(ParseError) as ei:
+        loads(text)
+    assert str(ei.value) == "line 4, column 16: unknown site 'ghost'"
+    # on one line, the line's own shape is judged first
+    with pytest.raises(ParseError, match="line 4, column 1: expected 'carrier'"):
+        loads("pvg 1\nmode ids\nsites 1 a\ncarier c0 : ghost\ncarrier c0 : zz\n")
+
+
 def test_duplicate_site_rejected():
     with pytest.raises(ParseError) as ei:
         loads("pvg 1\nmode ids\nsites 2 a a\ncarrier c : a\n")
