@@ -14,11 +14,12 @@ schedule's company table as `run` does. Each remembers the offset at which it
 first sees each site, so a cover completed partway through a ride is timed
 exactly.
 
-Choice states are popped in time order, each (t mod L, site, mask) kept at its
-earliest time, until no pending state can beat the best cover. A cap on the
-stored choice states plus the instants walked keeps the search from silently
-eating memory or time; a search charges a ride another search walked as if it
-had walked it itself. Nothing is allocated in proportion to n·L.
+Choice states are popped in time order until no pending state can beat the
+best cover. Each (t mod L, site, mask) is laid down once, at its earliest time,
+since states pop in time order and a forced ride is shorter than L moves. A cap
+on the stored choice states plus the instants walked keeps the search from
+silently eating memory or time; a search charges a ride another search walked
+as if it had walked it itself. Nothing is allocated in proportion to n·L.
 """
 from __future__ import annotations
 
@@ -70,6 +71,11 @@ def _search(
     of one route set may share the table. Each search charges every ride it
     uses to its own count, walked here or by an earlier search, so the cap
     means the same as in a search of its own.
+
+    Each state is laid down once, at its earliest time, since its key fixes
+    its time mod L. A state laid at t1 = t_a + 1 + j, with j < L moves of
+    forced ride, is laid again only at some t1' ≡ t1 (mod L) from a state popped
+    at t_b ≥ t_a, so t1' ≥ t_b + 1 > t_a ≥ t1 − L, hence t1' ≥ t1.
     """
     routeset.carrier(start_carrier)  # an unknown start is a ParameterViolation
     sched = routeset.schedule
@@ -84,19 +90,19 @@ def _search(
 
     if state_cap < 1:  # the start state alone exceeds the cap
         raise StateSpaceTooLarge(1, state_cap)
-    key = x0 << n | 1 << x0  # the start state: phase 0, its site, a mask of that site alone
-    stored = {key: 0}  # (phase·n + site) << n | mask of a choice state -> earliest time
+    stored = {x0 << n | 1 << x0}  # (phase·n + site) << n | mask of each state laid down
     walked = 0  # instants walked on forced rides: each ride's moves plus its end
 
     def ride(t: int, c: int) -> tuple:
         """The forced ride aboard c from phase t, walked once per table of `rides`.
 
         It ends at the first instant where the carriers on the agent's site
-        part. It records the sites first seen on the way as (offset, site)
-        pairs, in offset order, and their mask. Its move count is None for a
-        forced cycle: after L moves the agent is back where it began, so it
-        never has a choice again. Only the first lap of c's route can show a
-        new site; after it, the phases no other carrier can share are jumped.
+        part, and returns its moves and that instant, phase·n + site. It records
+        the sites first seen on the way as (offset, site) pairs, in offset
+        order, and their mask. Its move count is None for a forced cycle:
+        after L moves the agent is back where it began, so it never has a
+        choice again. Only the first lap of c's route can show a new site;
+        after it, the phases no other carrier can share are jumped.
         """
         nonlocal walked
         r, mates, lone = routes[c], company[c], quiet[c]
@@ -126,23 +132,23 @@ def _search(
                 j += 1
                 continue
             walked += j + 1
-            return j, (t + j) % L, y, c, seen, mask
+            return j, (t + j) % L * n + y, c, seen, mask
         if j >= budget:
             raise StateSpaceTooLarge(len(stored) + walked + j + 1, state_cap)
         walked += L + 1
-        return None, 0, 0, c, seen, mask
+        return None, 0, c, seen, mask
 
-    def leave(phase: int, x: int, c: int) -> list[tuple]:
-        """The rides leaving choice instant (phase, x), reached aboard c: walked
-        if no search has walked them yet, else charged as if walked."""
+    def leave(at: int, c: int) -> list[tuple]:
+        """The rides leaving choice instant `at` = phase·n + site, reached aboard
+        c: walked if no search has walked them yet, else charged as if walked."""
         nonlocal walked
-        at = phase * n + x
         if at in rides:
             legs, cost = rides[at]
             walked += cost
             if len(stored) + walked > state_cap:
                 raise StateSpaceTooLarge(len(stored) + walked, state_cap)
             return legs
+        phase, x = divmod(at, n)
         # one boarding per next site: any carrier bound there rides the same
         r = routes[c]
         nxt = {r[(phase + 1) % len(r)]: c}
@@ -157,38 +163,29 @@ def _search(
         rides[at] = legs, walked - before
         return legs
 
-    layers = {0: [(key, 0, x0, 1 << x0, c0)]}  # time -> the states pending at it
-    times = [0]  # a heap of the times in `layers`
+    pending = [(0, x0, 1 << x0, c0)]  # a heap of (time, phase·n + site, mask, carrier)
     branches: dict[int, list[tuple]] = {}  # the choice instants this search has charged -> rides
     best = math.inf
-    while times:
-        t = heapq.heappop(times)
+    while pending:
+        t, at, mask, c = heapq.heappop(pending)
         if t + 1 >= best:
             break
-        for key, phase, x, mask, c in layers.pop(t):
-            if stored[key] < t:
-                continue  # reached earlier since it was laid down
-            legs = branches.get(phase * n + x)
-            if legs is None:
-                legs = branches[phase * n + x] = leave(phase, x, c)
-            for j, end, x1, c1, seen, m in legs:
-                m |= mask
-                if m == full:  # covered on this ride, at the last missing site
-                    best = min(best, t + 1 + _cover_offset(seen, full & ~mask))
-                    continue
-                if j is None or t + j + 2 >= best:
-                    continue  # a forced cycle, or no faster than the best cover
-                t1 = t + 1 + j
-                key = (end * n + x1) << n | m
-                if stored.get(key, math.inf) > t1:
-                    stored[key] = t1
-                    if len(stored) + walked > state_cap:
-                        raise StateSpaceTooLarge(len(stored) + walked, state_cap)
-                    if t1 in layers:
-                        layers[t1].append((key, end, x1, m, c1))
-                    else:
-                        layers[t1] = [(key, end, x1, m, c1)]
-                        heapq.heappush(times, t1)
+        legs = branches.get(at)
+        if legs is None:
+            legs = branches[at] = leave(at, c)
+        for j, end, c1, seen, m in legs:
+            m |= mask
+            if m == full:  # covered on this ride, at the last missing site
+                best = min(best, t + 1 + _cover_offset(seen, full & ~mask))
+                continue
+            if j is None or t + j + 2 >= best:
+                continue  # a forced cycle, or no faster than the best cover
+            key = end << n | m
+            if key not in stored:
+                stored.add(key)
+                if len(stored) + walked > state_cap:
+                    raise StateSpaceTooLarge(len(stored) + walked, state_cap)
+                heapq.heappush(pending, (t + 1 + j, end, m, c1))
     return None if best == math.inf else best
 
 

@@ -49,7 +49,6 @@ class HitchARide:
         self.visit_len = bound if homogeneous_known else bound * bound
         self._parent: dict[str, str | None] = {}  # every carrier visited so far
         self._nbrs: dict[str, set[str]] = {}  # carriers each visit met first
-        self._pending: set[str] = set()  # met but not yet visited
         self._met: frozenset[str] = frozenset()  # visited or pending; rebuilt only as it grows
         # (carrier, end): `end` is the instant its visit ends, None while seeking
         self._state: tuple[str, int | None] | None = None
@@ -70,7 +69,6 @@ class HitchARide:
         met = obs.arriving_carriers - self._met
         if met:
             self._met |= met
-            self._pending |= met
             self._nbrs[c] |= met
         if obs.time < end:
             return Ride(c, end - obs.time, self._met, False)
@@ -79,12 +77,11 @@ class HitchARide:
     def _enter(self, parent: str | None, c: str, t: int) -> None:
         self._parent[c] = parent
         self._nbrs[c] = set()
-        self._pending.discard(c)
         self._state = (c, t + self.visit_len)
 
     def _dispatch(self, c: str, obs: Observation) -> Action:
         """Pick the next leg for carrier c, whose visit is over (agent is on c's site)."""
-        targets = self._nbrs[c] & self._pending
+        targets = self._nbrs[c] - self._parent.keys()  # met on c's visit, not yet visited
         here = targets & obs.arriving_carriers
         if here:
             child = min(here)

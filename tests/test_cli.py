@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pvgraph
-from pvgraph import HitchARide, loads, run, trace_to_csv
+from pvgraph import HitchARide, Trace, loads, run, trace_to_csv
 from pvgraph.cli import main
 
 
@@ -246,6 +246,25 @@ def test_bench_oracle_cell_blank_beyond_cap(capsys):
     row = out.strip().splitlines()[1].split(",")
     assert row[5] == ""  # oracle skipped
     assert row[6] != "" and row[7] != ""  # strategies still measured
+
+
+def test_bench_leaves_the_cell_of_a_strategy_that_fails_to_cover_empty(capsys, monkeypatch):
+    import pvgraph.cli as cli
+
+    race = cli.race
+
+    def hitch_halts_at_once(rs, start):
+        traces = race(rs, start)
+        traces["hitch"] = Trace(start, [], True)  # halted, having seen only its start site
+        return traces
+
+    monkeypatch.setattr(cli, "race", hitch_halts_at_once)
+    code, out, err = run_cli(capsys, "bench", "--family", "thm8", "--n", "7", "--k", "3")
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row[:6] == ["thm8", "7", "3", "4", "22", "23"]
+    assert row[6] == "" and row[7] != ""
+    assert err == "bench thm8 n=7 k=3 p=None: hitch failed to cover\n"
 
 
 def test_bench_audits_a_simple_route_family_at_real_size(capsys):

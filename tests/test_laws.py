@@ -1,0 +1,54 @@
+"""Presentation-invariance laws: a system is its schedule, and its text is one
+presentation of it, so answers must not depend on how the sites are named."""
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from pvgraph import (
+    ANONYMOUS,
+    IDS,
+    GuessingRide,
+    HitchARide,
+    RouteSet,
+    Walk,
+    exact_feasible,
+    is_feasible,
+    is_homogeneous,
+    min_moves,
+    run,
+)
+
+from helpers import drawn_systems
+
+#: Every run gets this move limit, so both presentations are cut off alike.
+MOVE_LIMIT = 2000
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_renaming_the_sites_changes_no_answer(data):
+    # the renamed universe is declared in a drawn order of its own, so the library's
+    # site indices, and the order in which the search's queue breaks ties, change too
+    rs = data.draw(drawn_systems(7, 5, 5, shared=True), label="system")
+    renamed_as = dict(zip(rs.sites, data.draw(st.permutations(rs.sites), label="names")))
+    universe = data.draw(st.permutations([renamed_as[s] for s in rs.sites]), label="universe")
+    renamed = RouteSet.from_routes(
+        [(c.id, [renamed_as[s] for s in c.route.sites]) for c in rs.carriers], IDS, universe
+    )
+
+    starts = [c.id for c in rs.carriers]
+    assert [min_moves(renamed, c) for c in starts] == [min_moves(rs, c) for c in starts]
+    assert is_feasible(renamed) == is_feasible(rs)
+    assert exact_feasible(renamed) == exact_feasible(rs)
+
+    start = data.draw(st.sampled_from(starts), label="start")
+    guess, guess_renamed = (run(s, GuessingRide(s.n), start, MOVE_LIMIT) for s in (rs, renamed))
+    assert guess_renamed.halted == guess.halted
+    assert guess_renamed.steps == Walk(
+        (c, tuple(renamed_as[s] for s in cycle), offset, moves)
+        for c, cycle, offset, moves in guess.steps.segments
+    )
+
+    anonymous = [RouteSet(s.carriers, ANONYMOUS, s.sites) for s in (rs, renamed)]
+    hitch = [run(s, HitchARide(s.max_period, is_homogeneous(s)), start, MOVE_LIMIT) for s in anonymous]
+    assert hitch[1].moves == hitch[0].moves
