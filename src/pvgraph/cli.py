@@ -45,11 +45,22 @@ THM2_TARGETS = {
 }
 
 
+WRITE_SLICE = 1 << 16  # characters encoded and written at a time
+
+
 def _write_text(path: str | None, text: str) -> None:
+    """`text` to stdout, or as UTF-8 to `path`.
+
+    A file is written a slice at a time: `Path.write_text` would encode the
+    whole text into a second full-size copy, and a move-by-move CSV runs to
+    megabytes, so the peak stays near the text's own size.
+    """
     if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        return
+    with open(path, "w", encoding="utf-8") as f:
+        for i in range(0, len(text), WRITE_SLICE):
+            f.write(text[i:i + WRITE_SLICE])
 
 
 @functools.cache  # one parser per process: a parser is a web of reference cycles

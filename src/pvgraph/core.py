@@ -186,27 +186,28 @@ class Schedule:
 def _build_schedule(routeset: RouteSet) -> Schedule:
     idx = {s: i for i, s in enumerate(routeset.sites)}
     routes = tuple(tuple(idx[s] for s in c.route.sites) for c in routeset.carriers)
-    holders: list[list[int]] = [[] for _ in routeset.sites]  # carriers whose route holds the site
-    for d, r in enumerate(routes):
-        for s in set(r):
-            holders[s].append(d)
+    domains = [set(r) for r in routes]
     classes: dict[tuple[int, int], set[int]] = {}  # (d, g) -> {site·g + phase mod g} of d's route
     company = []
-    for c, r in enumerate(routes):
+    for c, (r, here) in enumerate(zip(routes, domains)):
         p = len(r)
-        row = []
-        for i, s in enumerate(r):
-            mates = []
-            for d in holders[s]:
-                if d == c:
-                    continue
-                g = math.gcd(p, len(routes[d]))
-                if (d, g) not in classes:
-                    classes[d, g] = {x * g + j % g for j, x in enumerate(routes[d])}
-                if s * g + i % g in classes[d, g]:
-                    mates.append(d)
-            row.append(tuple(mates))
-        company.append(tuple(row))
+        mates: list[list[int]] = [[] for _ in r]
+        keyed: dict[int, dict[int, list[int]]] = {}  # g -> {site·g + phase mod g: c's phases}
+        for d, (other, there) in enumerate(zip(routes, domains)):  # each phase lists d in order
+            if d == c or here.isdisjoint(there):
+                continue
+            g = math.gcd(p, len(other))
+            phases = keyed.get(g)
+            if phases is None:
+                phases = keyed[g] = {}
+                for i, s in enumerate(r):
+                    phases.setdefault(s * g + i % g, []).append(i)
+            if (d, g) not in classes:
+                classes[d, g] = {x * g + j % g for j, x in enumerate(other)}
+            for key in phases.keys() & classes[d, g]:
+                for i in phases[key]:
+                    mates[i].append(d)
+        company.append(tuple(map(tuple, mates)))
     quiet = []
     for row in company:
         p, lone, left = len(row), 0, [0] * len(row)

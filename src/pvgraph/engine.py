@@ -458,8 +458,10 @@ def trace_to_csv(trace: Trace) -> str:
     Step i is the block's prefix `str(i // CSV_BLOCK)`, empty in block 0,
     and the digit table's entry for `i % CSV_BLOCK` with its comma,
     zero-padded after a prefix; so no row calls `str()`, and `CSV_BLOCK` must
-    be a power of ten. Blocks are joined one at a time, so the peak stays near
-    twice the CSV's size; a list of every row string would hold over four
+    be a power of ten. Each joined block is added to one growing string,
+    which CPython resizes in place while `+=` holds its only reference, so
+    the peak stays near the CSV's own size; a list of the blocks joined at
+    the end would hold twice it, and a list of every row string over four
     times it.
     """
     segments = trace.steps.segments
@@ -476,7 +478,7 @@ def trace_to_csv(trace: Trace) -> str:
     new = [i - 1 for i in _first_visits(start, trace.steps).values() if i][::-1]
     r = done = 0  # the ride the next row belongs to, and how many of its rows are written
     bare, padded = _csv_digits(CSV_BLOCK)
-    blocks = [CSV_HEADER + "\n"]
+    csv = CSV_HEADER + "\n"
     for o in range(0, t, CSV_BLOCK):
         n = min(CSV_BLOCK, t - o)
         pieces = [str(o // CSV_BLOCK) if o else ""] * (5 * n)
@@ -494,9 +496,8 @@ def trace_to_csv(trace: Trace) -> str:
         while new and new[-1] < o + n:
             i = 5 * (new.pop() - o) + 4
             pieces[i] = pieces[i][:-2] + "1\n"
-        blocks.append("".join(pieces))
-        del pieces  # so the last block's pieces are not held through the final join
-    return "".join(blocks)
+        csv += "".join(pieces)
+    return csv
 
 
 def summary_record(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,22 @@ def test_explore_hitch_covers_and_exits_0(tmp_path, capsys):
     trace = run(rs, HitchARide(rs.max_period, homogeneous_known=True), rs.carriers[0].id)
     assert csv_path.read_bytes() == trace_to_csv(trace).encode()
     assert sum(int(row.rsplit(",", 1)[1]) for row in csv[1:]) == len({rs.carriers[0].route.at(0), *trace.steps.tos}) - 1
+
+
+def test_explore_writes_its_csv_without_a_second_copy(tmp_path, capsys):
+    path = gen_file(tmp_path, capsys, "--family", "sihe", "--n", "40", "--k", "4")
+    csv_path = tmp_path / "walk.csv"
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "explore", "--in", str(path), "--strategy", "hitch", "-o", str(csv_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    size = csv_path.stat().st_size
+    assert size > 2_000_000
+    # the CSV string grown in place and written in slices; an encoded copy of the whole reads ~2x
+    assert peak < 1.25 * size, (peak, size)
 
 
 def test_explore_guess_exits_0(tmp_path, capsys):

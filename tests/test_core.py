@@ -327,6 +327,37 @@ def test_meeting_graph_matches_joint_period_scan(data):
         )
 
 
+def reference_company(rs: RouteSet) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Reference: `Schedule.company` by a scan of every holder of each phase's site, O(k²·p)."""
+    idx = {s: i for i, s in enumerate(rs.sites)}
+    routes = [[idx[s] for s in c.route.sites] for c in rs.carriers]
+    holders = [[] for _ in rs.sites]  # carriers whose route holds the site
+    for d, r in enumerate(routes):
+        for s in set(r):
+            holders[s].append(d)
+    company = []
+    for c, r in enumerate(routes):
+        p = len(r)
+        row = []
+        for i, s in enumerate(r):
+            mates = []
+            for d in holders[s]:
+                g = math.gcd(p, len(routes[d]))
+                if d != c and any(routes[d][j] == s for j in range(i % g, len(routes[d]), g)):
+                    mates.append(d)
+            row.append(tuple(mates))
+        company.append(tuple(row))
+    return tuple(company)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_schedule_company_matches_a_scan_of_every_holder(data):
+    # up to 6 carriers, on one shared period or on periods of their own
+    rs = data.draw(drawn_systems(6, 6, 8, shared=True), label="system")
+    assert rs.schedule.company == reference_company(rs)
+
+
 def test_feasibility_past_a_joint_period_of_2_to_the_32():
     pa, pb = 65537, 65536  # coprime, lcm just above 2^32
     rs = rs_of([f"s{i % 3}" for i in range(pa)], [f"s{i % 2}" for i in range(pb)])

@@ -396,8 +396,9 @@ def test_csv_is_built_without_a_list_of_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the finished string plus its blocks; one joined list of every row reads ~4.5x
-    assert peak < 3 * len(csv), (peak, len(csv))
+    # one string grown in place, plus one block's pieces; a list of the blocks joined at
+    # the end reads ~2x, and one joined list of every row ~4.5x
+    assert peak < 1.25 * len(csv), (peak, len(csv))
 
 
 def reference_csv(trace: Trace) -> str:

@@ -52,3 +52,24 @@ def test_renaming_the_sites_changes_no_answer(data):
     anonymous = [RouteSet(s.carriers, ANONYMOUS, s.sites) for s in (rs, renamed)]
     hitch = [run(s, HitchARide(s.max_period, is_homogeneous(s)), start, MOVE_LIMIT) for s in anonymous]
     assert hitch[1].moves == hitch[0].moves
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_unrolling_the_routes_changes_no_answer(data):
+    # each route written 1 to 3 times over is the same schedule under a longer period
+    rs = data.draw(drawn_systems(7, 5, 5, shared=True), label="system")
+    times = data.draw(st.lists(st.integers(1, 3), min_size=rs.k, max_size=rs.k), label="times")
+    unrolled = RouteSet.from_routes(
+        [(c.id, c.route.sites * m) for c, m in zip(rs.carriers, times)], rs.mode, rs.sites
+    )
+
+    starts = [c.id for c in rs.carriers]
+    assert [min_moves(unrolled, c) for c in starts] == [min_moves(rs, c) for c in starts]
+    assert is_feasible(unrolled) == is_feasible(rs)
+    assert exact_feasible(unrolled) == exact_feasible(rs)
+
+    start = data.draw(st.sampled_from(starts), label="start")
+    guess, guess_unrolled = (run(s, GuessingRide(s.n), start, MOVE_LIMIT) for s in (rs, unrolled))
+    assert guess_unrolled.halted == guess.halted
+    assert guess_unrolled.steps == guess.steps  # `Walk` equality compares steps, not segments
