@@ -95,12 +95,16 @@ class RouteSet:
             if not seen <= universe:
                 extra = [s for s in self._first_appearances() if s not in universe]
                 raise ValueError(f"route sites missing from declared universe: {extra}")
-            dead = [s for s in self.sites if s not in seen]
-            if dead:
+            if len(seen) < len(universe):
+                dead = [s for s in self.sites if s not in seen]
                 raise UnreachableSite(f"site(s) on no route: {', '.join(dead)}")
-        for name in (*ids, *self.sites):  # distinct names only, so the cost is not per phase
-            if name.split() != [name]:  # the text format could not write it back
-                raise ValueError(f"name {name!r} is empty or contains whitespace")
+        # the text format could not write back an empty name or one with whitespace. The
+        # joined names split back into themselves iff none is, since `str.split()` drops
+        # an empty name and splits at any whitespace; one by one only to name the first
+        names = [*ids, *self.sites]  # distinct names only, so the cost is not per phase
+        if " ".join(names).split() != names:
+            bad = next(name for name in names if name.split() != [name])
+            raise ValueError(f"name {bad!r} is empty or contains whitespace")
 
     def _first_appearances(self) -> dict[str, None]:
         """Every route site, in first-appearance order across the routes: one pass over all slots."""
@@ -230,7 +234,13 @@ def _simple_edges(route: Route) -> set[tuple[str, str]] | None:
 
 
 def is_simple(route: Route) -> bool:
-    """No self-loops and no directed edge traversed at two distinct phases."""
+    """No self-loops and no directed edge traversed at two distinct phases.
+
+    A ring (p = d, every site once) repeats no edge, and has a self-loop only
+    when p = 1, so only a route that visits some site twice gets the edge scan.
+    """
+    if route.period == len(route.domain):
+        return route.period > 1
     return _simple_edges(route) is not None
 
 
@@ -244,16 +254,16 @@ def is_irredundant(route: Route) -> bool:
     reverse pairs its p directed edges into p/2 undirected ones, so at
     p = 2(d-1) those are the d-1 edges of a tree.
 
-    A ring (p = d, every site once) repeats no edge, and has a self-loop only
-    when d = 1, so only a tree tour gets the edge scan.
+    A ring is irredundant iff it is simple, which `is_simple` answers with no
+    edge scan, so only a tree tour gets one.
     """
     d, p = len(route.domain), route.period
     if p == d:
-        return d > 1
+        return is_simple(route)
     if p != 2 * (d - 1):  # the O(1) period shape before the edge scan
         return False
-    edges = _simple_edges(route)
-    return edges is not None and all((b, a) in edges for a, b in edges)  # each edge once per direction
+    edges, s = _simple_edges(route), route.sites
+    return edges is not None and edges.issuperset(zip(s[1:] + s[:1], s))  # each edge once per direction
 
 
 def is_homogeneous(routeset: RouteSet) -> bool:
@@ -266,8 +276,11 @@ def _meets(a: Route, b: Route) -> bool:
 
     Phase i of one route and phase j of the other coincide at some instant iff
     i ≡ j (mod g), g the gcd of the periods: the pair meets iff, for some
-    residue r, the phases ≡ r of both routes share a site.
+    residue r, the phases ≡ r of both routes share a site. Routes that share no
+    site at all never meet, and one test of their cached site sets says so.
     """
+    if a.domain.isdisjoint(b.domain):
+        return False
     x, y = a.sites, b.sites
     g = math.gcd(len(x), len(y))
     for r in range(g):  # a plain loop: a generator per pair costs more than most scans

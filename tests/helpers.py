@@ -11,6 +11,14 @@ def rs_of(*routes, mode=IDS):
     return RouteSet.from_routes([(f"c{i}", list(r)) for i, r in enumerate(routes)], mode)
 
 
+def stars(k, B):
+    """k carriers of period B, each on the hub site `o` at phase 0 and on B−1 leaves of its own.
+
+    Homogeneous and feasible, over n = 1 + k(B−1) sites.
+    """
+    return rs_of(*[["o", *(f"l{c}.{j}" for j in range(1, B))] for c in range(k)])
+
+
 @st.composite
 def drawn_systems(draw, n, k, period, shared=False, modes=(IDS,)):
     """Up to `k` carriers on routes of 1 to `period` slots over sites s0..s{m-1}, m ≤ `n`.

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,33 @@ def test_names_the_text_format_cannot_hold_rejected(routes):
         RouteSet.from_routes(routes, IDS)
 
 
+#: Every character `str.split()` splits at; none lies above U+3000.
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+
+def names():
+    """Names, some empty and some with one whitespace character at the start, middle or end."""
+    word = st.text("ab", max_size=2)
+    return st.just("") | st.text("ab", min_size=1, max_size=3) | st.tuples(
+        word, st.sampled_from(WHITESPACE), word).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(names(), min_size=1, max_size=3, unique=True),
+       sites=st.lists(names(), min_size=1, max_size=4, unique=True), declared=st.booleans())
+def test_names_are_rejected_exactly_where_one_fails_the_per_name_rule(ids, sites, declared):
+    # the reference rule, one name at a time: a name must split into itself alone
+    bad = [name for name in (*ids, *sites) if name.split() != [name]]
+    routes = [(cid, sites) for cid in ids]  # every carrier rides every site: none is dead
+    if not bad:
+        assert RouteSet.from_routes(routes, IDS, sites if declared else ()).sites == tuple(sites)
+        return
+    with pytest.raises(ValueError) as ei:
+        RouteSet.from_routes(routes, IDS, sites if declared else ())
+    assert type(ei.value) is ValueError
+    assert str(ei.value) == f"name {bad[0]!r} is empty or contains whitespace"
+
+
 def test_unknown_carrier_is_a_parameter_violation():
     rs = rs_of(["a", "b"], ["a", "c"])
     with pytest.raises(ParameterViolation, match="no carrier 'nope'"):
@@ -255,8 +283,9 @@ def test_irredundant_tests_the_period_shape_before_the_edge_scan(monkeypatch):
     monkeypatch.setattr(core, "_simple_edges", lambda r: calls.append(r) or scan(r))
     assert not is_irredundant(route)
     assert calls == []
-    # a ring repeats no edge, so it needs no scan; only the tree tour is scanned
-    assert is_irredundant(Route(("a", "b", "c")))
+    # a ring repeats no edge, so neither predicate scans it; only the tree tour is scanned
+    assert is_irredundant(Route(("a", "b", "c"))) and is_simple(Route(("a", "b", "c")))
+    assert not is_simple(Route(("a",)))  # p = d = 1: a self-loop
     assert calls == []
     assert is_irredundant(Route(("a", "b", "c", "b")))
     assert calls == [Route(("a", "b", "c", "b"))]
@@ -443,6 +472,19 @@ def test_feasibility_matches_the_component_rule(rs):
     assert feasible == component_rule(rs)
     # no pair scanned twice, so never more scans than the k(k−1)/2 of a full scan
     assert len(set(pairs)) == len(pairs) <= rs.k * (rs.k - 1) // 2
+
+
+def test_feasibility_takes_no_residue_slice_for_routes_sharing_no_site(monkeypatch):
+    # thm3's routes share only some of their sites: each pair that shares none is settled
+    # by one test of the two site sets, before the gcd that sizes the residue slices
+    rs = pvgraph.make_instance("thm3", 58, 9, 51).routeset
+    gcds = []
+    monkeypatch.setattr(core, "math", SimpleNamespace(gcd=lambda a, b: gcds.append((a, b)) or math.gcd(a, b)))
+    feasible, pairs = scanned_pairs(rs, monkeypatch)
+    domains = [c.route.domain for c in rs.carriers]
+    sharing = [pair for pair in pairs if not domains[min(pair)].isdisjoint(domains[max(pair)])]
+    assert feasible and 0 < len(sharing) < len(pairs)
+    assert len(gcds) == len(sharing)
 
 
 def test_feasibility_grows_a_chain_through_its_middle(monkeypatch):

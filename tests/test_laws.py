@@ -1,5 +1,6 @@
 """Presentation-invariance laws: a system is its schedule, and its text is one
-presentation of it, so answers must not depend on how the sites are named."""
+presentation of it, so answers must not depend on how the sites are named, how many
+times each route is written out, or at which phase the routes are written from."""
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
@@ -73,3 +74,19 @@ def test_unrolling_the_routes_changes_no_answer(data):
     guess, guess_unrolled = (run(s, GuessingRide(s.n), start, MOVE_LIMIT) for s in (rs, unrolled))
     assert guess_unrolled.halted == guess.halted
     assert guess_unrolled.steps == guess.steps  # `Walk` equality compares steps, not segments
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rotating_every_route_by_one_shift_changes_no_feasibility(data):
+    # every route started s phases on is the same schedule seen from instant s: the pairs meet
+    # as before, and a walk from instant s can ride its carrier on to a whole joint period
+    rs = data.draw(drawn_systems(7, 5, 5, shared=True), label="system")
+    shift = data.draw(st.integers(0, 60), label="shift")  # up to the joint period of 3, 4 and 5
+    rotated = RouteSet.from_routes(
+        [(c.id, c.route.sites[shift % c.route.period:] + c.route.sites[:shift % c.route.period])
+         for c in rs.carriers], rs.mode, rs.sites
+    )
+
+    assert is_feasible(rotated) == is_feasible(rs)
+    assert exact_feasible(rotated) == exact_feasible(rs)

@@ -16,7 +16,7 @@ from pvgraph import (
 from pvgraph.core import ANONYMOUS
 from pvgraph.strategies import NoNewSiteTimeout, SiteRevisitHalt
 
-from helpers import drawn_systems, rs_of
+from helpers import drawn_systems, rs_of, stars
 
 
 def test_hitch_single_carrier_rides_exactly_b_moves():
@@ -47,6 +47,17 @@ def test_hitch_respects_move_budget_across_family_corpus():
             assert tr.halted and tr.covers(rs), (family, c.id)
             assert tr.moves <= (3 * rs.k - 2) * bprime, (family, c.id, tr.moves)
             assert is_concrete_cover(rs, tr)
+
+
+@pytest.mark.parametrize("B", range(2, 9))
+def test_hitch_covers_a_star_within_its_cap(B):
+    # k = 14..22 and 32, where guess passes its 12kP cap on stars, and k = 62, where the
+    # default move limit cuts guess off at B = 2
+    for k in (2, 14, 15, 17, 22, 32, 62):
+        rs = stars(k, B)
+        tr = run(rs, HitchARide(B, homogeneous_known=True), "c0")
+        assert tr.halted and tr.covers(rs), (k, B)
+        assert tr.moves <= (3 * k - 2) * B, (k, B, tr.moves)
 
 
 def test_hitch_with_loose_bound_still_covers():
