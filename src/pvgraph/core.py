@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import ParameterViolation, UnreachableSite
@@ -165,39 +165,50 @@ class Schedule:
     """The routes as site indices, and who can share each phase's site.
 
     `routes[c][i]` is the index in `RouteSet.sites` of carrier c's site at
-    phase i. `company[c][i]` lists, in carrier order, every other carrier d
-    that stands on that site at some instant ≡ i (mod p_c): those with a
-    phase j ≡ i (mod gcd(p_c, p_d)) on the same site. The carriers on c's
-    site at instant t are thus c and the d in `company[c][t mod p_c]` whose
-    route is at that site at t. Both tables hold O(k·Σp) entries, none in
-    proportion to the lcm of the periods.
+    phase i, and `domains[c]` holds each index of `routes[c]` once, in
+    first-appearance order. `company[c][i]` lists, in carrier order, every
+    other carrier d that stands on that site at some instant ≡ i (mod p_c):
+    those with a phase j ≡ i (mod gcd(p_c, p_d)) on the same site. The
+    carriers on c's site at instant t are thus c and the d in
+    `company[c][t mod p_c]` whose route is at that site at t. `mates[c]`
+    holds the ids, in carrier order, of every d that `company[c]` lists at
+    some phase: the carriers c ever meets, its meeting-graph neighbours,
+    named as a `Ride`'s `past` names them. The tables hold O(k·Σp) entries,
+    none in proportion to the lcm of the periods.
 
     For the instants the agent rides alone, `quiet[c][i]` counts the phases
     from i on, up to p_c, whose `company` is empty: 0 where phase i lists
     company. It holds O(Σp) entries.
 
-    `company` and `quiet` are the engine's skip hints, not its stopping rule:
-    a listed carrier may stand elsewhere at a given instant. A lone ride jumps
-    each quiet stretch, checks only the listed carriers at the other phases,
-    and stops where one of them actually stands on the site.
+    `company`, `quiet` and `mates` are the engine's skip hints, not its
+    stopping rule: a listed carrier may stand elsewhere at a given instant.
+    A lone ride that passes every one of its carrier's `mates` needs no
+    company check; any other jumps each quiet stretch, checks only the
+    listed carriers at the other phases, and stops where one of them
+    actually stands on the site.
     """
 
     routes: tuple[tuple[int, ...], ...]
+    domains: tuple[tuple[int, ...], ...]
     company: tuple[tuple[tuple[int, ...], ...], ...]
     quiet: tuple[tuple[int, ...], ...]
+    mates: tuple[tuple[str, ...], ...]
 
 
 def _build_schedule(routeset: RouteSet) -> Schedule:
     idx = {s: i for i, s in enumerate(routeset.sites)}
+    ids = [c.id for c in routeset.carriers]
     routes = tuple(tuple(idx[s] for s in c.route.sites) for c in routeset.carriers)
-    domains = [set(r) for r in routes]
+    domains = tuple(tuple(dict.fromkeys(r)) for r in routes)
+    sets = [set(r) for r in domains]
     classes: dict[tuple[int, int], set[int]] = {}  # (d, g) -> {site·g + phase mod g} of d's route
-    company = []
-    for c, (r, here) in enumerate(zip(routes, domains)):
+    company, mates = [], []
+    for c, (r, here) in enumerate(zip(routes, sets)):
         p = len(r)
-        mates: list[list[int]] = [[] for _ in r]
+        rows: list[list[int]] = [[] for _ in r]
+        near = []  # the ids of the carriers listed at some phase, in carrier order
         keyed: dict[int, dict[int, list[int]]] = {}  # g -> {site·g + phase mod g: c's phases}
-        for d, (other, there) in enumerate(zip(routes, domains)):  # each phase lists d in order
+        for d, (other, there) in enumerate(zip(routes, sets)):  # each phase lists d in order
             if d == c or here.isdisjoint(there):
                 continue
             g = math.gcd(p, len(other))
@@ -208,18 +219,29 @@ def _build_schedule(routeset: RouteSet) -> Schedule:
                     phases.setdefault(s * g + i % g, []).append(i)
             if (d, g) not in classes:
                 classes[d, g] = {x * g + j % g for j, x in enumerate(other)}
-            for key in phases.keys() & classes[d, g]:
+            shared = phases.keys() & classes[d, g]
+            if shared:
+                near.append(ids[d])
+            for key in shared:
                 for i in phases[key]:
-                    mates[i].append(d)
-        company.append(tuple(map(tuple, mates)))
+                    rows[i].append(d)
+        company.append(tuple(map(tuple, rows)))
+        mates.append(tuple(near))
     quiet = []
     for row in company:
-        p, lone, left = len(row), 0, [0] * len(row)
-        for i in range(2 * p - 1, -1, -1):  # the second lap counts the quiet phases that wrap
-            lone = 0 if row[i % p] else lone + 1
-            left[i % p] = min(lone, p)
-        quiet.append(tuple(left))
-    return Schedule(routes, tuple(company), tuple(quiet))
+        p = len(row)
+        listed = list(compress(range(p), row))
+        if not listed:
+            quiet.append((p,) * p)
+            continue
+        # each quiet stretch counts down to the listed phase that ends it; the list runs
+        # on past p to the first listed phase, where the stretch that wraps ends
+        first = listed[0]
+        left = [0] * (p + first)
+        for a, b in zip(listed, listed[1:] + [p + first]):
+            left[a + 1:b] = range(b - a - 1, 0, -1)
+        quiet.append(tuple(left[p:] + left[first:p]))
+    return Schedule(routes, domains, tuple(company), tuple(quiet), tuple(mates))
 
 
 def _simple_edges(route: Route) -> set[tuple[str, str]] | None:
@@ -277,12 +299,16 @@ def _meets(a: Route, b: Route) -> bool:
     Phase i of one route and phase j of the other coincide at some instant iff
     i ≡ j (mod g), g the gcd of the periods: the pair meets iff, for some
     residue r, the phases ≡ r of both routes share a site. Routes that share no
-    site at all never meet, and one test of their cached site sets says so.
+    site at all never meet, and one test of their cached site sets says so;
+    with coprime periods (g = 1) the one residue holds every phase, so routes
+    that share a site meet, and no residue is sliced.
     """
     if a.domain.isdisjoint(b.domain):
         return False
     x, y = a.sites, b.sites
     g = math.gcd(len(x), len(y))
+    if g == 1:
+        return True
     for r in range(g):  # a plain loop: a generator per pair costs more than most scans
         if not set(x[r::g]).isdisjoint(y[r::g]):
             return True

@@ -57,9 +57,12 @@ class Strategy(Protocol):
     limit, or after `moves` moves, whichever comes first, however many laps
     of the carrier's route that takes; a switch makes one move. So `past`
     names the carriers whose company cannot change the answer, and `sites`
-    False says a site's name cannot. The strategy reads how far it got from
-    the next observation's `time`, so it must answer exactly as it would
-    have at each instant skipped. `moves` must be an `int >= 1`.
+    False says a site's name cannot. A `past` that holds every carrier the
+    current one ever meets leaves no company to stop at, and `run` checks
+    none. The strategy reads how far it got from the next observation's
+    `time`, so it must answer exactly as it would have at each instant
+    skipped. `moves` must be an `int >= 1`, and a lone ride's `past` a set
+    or frozenset.
     """
 
     def decide(self, obs: Observation) -> Action: ...
@@ -257,7 +260,12 @@ def run(
     a stop that keeps the carrier extends the open segment. Only with site
     identities does the run track the sites it has seen, as indices, for the
     lone-ride stop at an unseen site; a ride that passes unseen sites adds
-    them all, so a later ride stops only at sites truly unseen.
+    them all, so a later ride stops only at sites truly unseen, and a
+    carrier is fully seen once its `Schedule.domains` entry is.
+
+    A lone ride whose `past` holds all of its carrier's `Schedule.mates`
+    goes straight to its last move; any other checks the listed company
+    phase by phase, jumping the quiet stretches.
     """
     if move_limit is None:
         move_limit = default_move_limit(routeset, strategy)
@@ -265,7 +273,8 @@ def run(
         raise ValueError("move_limit must be positive")
     routeset.carrier(start_carrier)  # an unknown start is a ParameterViolation
     sched = routeset.schedule
-    routes, company, quiet = sched.routes, sched.company, sched.quiet
+    routes, domains, company, quiet = sched.routes, sched.domains, sched.company, sched.quiet
+    mates = sched.mates  # the ids of the carriers each carrier ever meets
     periods = [len(r) for r in routes]
     ids = [c.id for c in routeset.carriers]
     cycles = [c.route.sites for c in routeset.carriers]  # shared by the segments, not copied
@@ -284,10 +293,10 @@ def run(
     halted = False
     while True:
         phase = t % periods[c]
-        mates = company[c][phase]
-        if mates:  # plain loops here and in lone rides: a generator costs more than the check
+        others = company[c][phase]
+        if others:  # plain loops here and in lone rides: a generator costs more than the check
             present = [ids[c]]
-            for d in mates:
+            for d in others:
                 if routes[d][t % periods[d]] == site:
                     present.append(ids[d])
             arriving = frozenset(present)
@@ -316,7 +325,8 @@ def run(
         elif moves > 1:
             # riding on alone: stop at the asked moves, the limit, the first unseen
             # site if asked, or where a carrier not passed stands on the site; quiet
-            # phases are jumped
+            # phases are jumped, and a ride that passes every carrier c ever meets
+            # checks no company at all
             p = periods[c]
             most = min(moves, move_limit - t)
             if sites and not done[c]:  # capped before the loop scans laps past it
@@ -324,6 +334,11 @@ def run(
                 unseen = next(filterfalse(seen.__contains__, ahead), None)
                 if unseen is not None:
                     most = ahead.index(unseen) + 1
+            try:
+                if past.issuperset(mates[c]):
+                    j = most
+            except AttributeError:
+                raise IllegalAction(f"ride past {past!r} at t={t}, not a set of carrier ids") from None
             lone, listed, route = quiet[c], company[c], routes[c]
             while j < most:
                 i = (phase + j) % p
@@ -345,7 +360,7 @@ def run(
                 seen.add(site)
             else:
                 seen.update(_arc(routes[c], phase + 1, min(j, periods[c])))
-            done[c] = seen.issuperset(routes[c])
+            done[c] = seen.issuperset(domains[c])
         if t >= move_limit:
             break
     if t > t0:

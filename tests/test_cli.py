@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -148,6 +149,21 @@ def test_explore_writes_its_csv_without_a_second_copy(tmp_path, capsys):
     assert size > 2_000_000
     # the CSV string grown in place and written in slices; an encoded copy of the whole reads ~2x
     assert peak < 1.25 * size, (peak, size)
+
+
+@pytest.mark.parametrize("strategy, moves, digest", [
+    ("hitch", 6558, "26a4a23c6b780b243603b1224f181f2d08bd8662d99b0c8bd5ccb79a24889347"),
+    ("guess", 996, "2b08f5665a10951387dfeb4790bd72e1804198f8b9a9960030823651542ef194"),
+])
+def test_explore_writes_the_pinned_csv_on_a_mid_size_random_system(tmp_path, capsys, strategy, moves, digest):
+    # the CI pins: a random system where hitch decides most often, each CSV's bytes by their sha256
+    path = gen_file(tmp_path, capsys, "--family", "random", "--n", "40", "--k", "8", "--p", "30", "--seed", "1")
+    csv_path = tmp_path / "walk.csv"
+    code, out, err = run_cli(capsys, "explore", "--in", str(path), "--strategy", strategy, "-o", str(csv_path))
+    assert code == 0, err
+    rec = json.loads(out)
+    assert (rec["moves"], rec["halted"], rec["covered"]) == (moves, True, True), rec
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
 
 def test_explore_guess_exits_0(tmp_path, capsys):

@@ -344,16 +344,32 @@ def test_meeting_graph_matches_joint_period_scan(data):
     # the schedule: integer routes, and per phase the carriers a scan finds there
     sched = rs.schedule
     assert [tuple(rs.sites[x] for x in r) for r in sched.routes] == [c.route.sites for c in rs.carriers]
+    assert sched.domains == tuple(tuple(dict.fromkeys(r)) for r in sched.routes)
+    # each carrier's mates are its meeting-graph neighbours, in carrier order
+    assert sched.mates == tuple(tuple(b for b in ids if b in mg[a]) for a in ids)
     for c, a in enumerate(ids):
         p = rs.carrier(a).route.period
         phases = {b: {t % p for _, t in scanned_meetings(rs, a, b)} for b in ids if b != a}
         assert sched.company[c] == tuple(
             tuple(d for d, b in enumerate(ids) if b != a and i in phases[b]) for i in range(p)
         )
-        # the quiet phases from each phase on, up to one period
-        assert sched.quiet[c] == tuple(
-            next((j for j in range(p) if sched.company[c][(i + j) % p]), p) for i in range(p)
-        )
+    assert_quiet_counts_the_phases_without_company(sched)
+
+
+def assert_quiet_counts_the_phases_without_company(sched) -> None:
+    """Reference: `Schedule.quiet` counts the phases from each phase on, up to one
+    period, whose company is empty."""
+    for row, quiet in zip(sched.company, sched.quiet, strict=True):
+        p = len(row)
+        assert quiet == tuple(next((j for j in range(p) if row[(i + j) % p]), p) for i in range(p))
+
+
+@pytest.mark.parametrize("spec", [("siho", 40, 5), ("sihe", 48, 5)])
+def test_quiet_counts_the_phases_without_company_on_long_routes(spec):
+    # periods 935 (siho) and 160 and 161 (sihe), with company at some phases only
+    sched = pvgraph.make_instance(*spec).routeset.schedule
+    assert all(any(row) and not all(row) for row in sched.company)
+    assert_quiet_counts_the_phases_without_company(sched)
 
 
 def reference_company(rs: RouteSet) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -485,6 +501,35 @@ def test_feasibility_takes_no_residue_slice_for_routes_sharing_no_site(monkeypat
     sharing = [pair for pair in pairs if not domains[min(pair)].isdisjoint(domains[max(pair)])]
     assert feasible and 0 < len(sharing) < len(pairs)
     assert len(gcds) == len(sharing)
+
+
+class Slices(tuple):
+    """A route's sites that record, in `taken`, every slice made of them."""
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.taken.append(i)
+        return super().__getitem__(i)
+
+
+def test_a_coprime_pair_sharing_a_site_meets_with_no_residue_slice():
+    # sihe(48,5) has periods 160 and 161: with coprime periods every phase of one route
+    # coincides with every phase of the other, so sharing a site settles the pair
+    rs = pvgraph.make_instance("sihe", 48, 5).routeset
+    routes = []
+    for c in rs.carriers:
+        route = Route(c.route.sites)
+        object.__setattr__(route, "sites", Slices(route.sites))
+        route.sites.taken = []
+        routes.append(route)
+    coprime = [(a, b) for i, a in enumerate(routes) for b in routes[i + 1:]
+               if math.gcd(a.period, b.period) == 1 and not a.domain.isdisjoint(b.domain)]
+    assert len(coprime) == 4
+    for a, b in coprime:
+        assert core._meets(a, b)
+        assert a.sites.taken == b.sites.taken == []
+    # two routes of period 161 share sites but never meet: only the residue scan says so
+    assert not core._meets(routes[1], routes[2]) and routes[1].sites.taken
 
 
 def test_feasibility_grows_a_chain_through_its_middle(monkeypatch):

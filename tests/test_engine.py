@@ -740,6 +740,48 @@ def test_a_lone_ride_passes_the_company_and_the_unseen_sites_it_names(data):
         assert u == min([*due, a + moves, tr.moves]), (a, u, moves, past, sites)
 
 
+class Rows(tuple):
+    """A carrier's `company` row that counts, in `reads`, the phases read from it."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+class RidePassing:
+    """Rides its carrier on for good, passing the carriers `past` and unseen sites;
+    `asked` holds the instants it was asked at."""
+
+    def __init__(self, past):
+        self.past = past
+        self.asked = []
+
+    def decide(self, obs: Observation):
+        self.asked.append(obs.time)
+        return Ride(obs.current_carrier, 10**9, self.past, False)
+
+
+def test_a_lone_ride_that_passes_every_mate_reads_no_company_row():
+    # c1 rides c0's route in step, and c2 stands with c0 at the odd phases: c0 has
+    # company at every phase. c3 never meets c0, so a ride past c1 and c2 cannot stop
+    routes = ("abcdef", "abcdef", "xbydzf", "qr")
+    rs = rs_of(*routes)
+    sched = rs.schedule
+    assert sched.mates[0] == ("c1", "c2") and all(sched.company[0])
+    # a row is read once a decide, to name the company there, and on a ride that does
+    # not pass every mate, once a phase ridden: past c1 alone, c2 stops it at each odd instant
+    for past, asked, reads in [({"c1", "c2"}, [0], 1), ({"c1"}, [0, *range(1, 50, 2)], 26 + 49)]:
+        rows = tuple(map(Rows, sched.company))
+        for row in rows:
+            row.reads = 0
+        rs.__dict__["schedule"] = dataclasses.replace(sched, company=rows)  # the cached table
+        rider = RidePassing(frozenset(past))
+        tr = run(rs, rider, "c0", move_limit=50)
+        assert tr == run(rs_of(*routes), DecideOnly(RideOn()), "c0", 50)
+        assert rider.asked == asked
+        assert sum(row.reads for row in rows) == reads
+
+
 def test_a_move_limit_inside_a_skip_cuts_the_same_partial_trace():
     rs = rs_of(["a", "b", "c", "d", "e"], mode=ANONYMOUS)
     rider = RideOn()
@@ -754,6 +796,15 @@ def test_a_ride_of_other_than_a_positive_int_of_moves_is_illegal(moves):
     rs = rs_of(["a", "b", "c"], mode=ANONYMOUS)
     with pytest.raises(IllegalAction, match="moves"):
         run(rs, RideOn(moves), "c0", move_limit=10)
+
+
+@pytest.mark.parametrize("past", [("c1",), ["c1"], "c1", None])
+def test_a_lone_ride_past_other_than_a_set_of_ids_is_illegal(past):
+    rs = rs_of(["a", "b", "c"], ["a", "x"], mode=ANONYMOUS)
+    with pytest.raises(IllegalAction, match="past"):
+        run(rs, Scripted([Ride("c0", 5, past)]), "c0", move_limit=10)
+    # a set is as good as a frozenset
+    assert run(rs, Scripted([Ride("c0", 5, {"c1"})]), "c0", move_limit=10).moves == 5
 
 
 class DecideProxy:
