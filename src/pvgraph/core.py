@@ -186,6 +186,12 @@ class Schedule:
     company check; any other jumps each quiet stretch, checks only the
     listed carriers at the other phases, and stops where one of them
     actually stands on the site.
+
+    The rest are per-carrier lookups every run needs, laid out once here:
+    each carrier's `period`, its id in `ids` and the `index` back from it,
+    its route's named sites in `cycles` (the route's own tuple, which a
+    walk's segments share), and in `alone` the arrival set `{id}` of an
+    instant it has no company.
     """
 
     routes: tuple[tuple[int, ...], ...]
@@ -193,6 +199,11 @@ class Schedule:
     company: tuple[tuple[tuple[int, ...], ...], ...]
     quiet: tuple[tuple[int, ...], ...]
     mates: tuple[tuple[str, ...], ...]
+    periods: tuple[int, ...]
+    ids: tuple[str, ...]
+    index: dict[str, int] = field(hash=False)  # unhashable, so left out of the hash
+    cycles: tuple[tuple[str, ...], ...]
+    alone: tuple[frozenset[str], ...]
 
 
 def _build_schedule(routeset: RouteSet) -> Schedule:
@@ -241,7 +252,14 @@ def _build_schedule(routeset: RouteSet) -> Schedule:
         for a, b in zip(listed, listed[1:] + [p + first]):
             left[a + 1:b] = range(b - a - 1, 0, -1)
         quiet.append(tuple(left[p:] + left[first:p]))
-    return Schedule(routes, domains, tuple(company), tuple(quiet), tuple(mates))
+    return Schedule(
+        routes, domains, tuple(company), tuple(quiet), tuple(mates),
+        periods=tuple(map(len, routes)),
+        ids=tuple(ids),
+        index={cid: c for c, cid in enumerate(ids)},
+        cycles=tuple(c.route.sites for c in routeset.carriers),
+        alone=tuple(frozenset((cid,)) for cid in ids),
+    )
 
 
 def _simple_edges(route: Route) -> set[tuple[str, str]] | None:

@@ -275,11 +275,7 @@ def run(
     sched = routeset.schedule
     routes, domains, company, quiet = sched.routes, sched.domains, sched.company, sched.quiet
     mates = sched.mates  # the ids of the carriers each carrier ever meets
-    periods = [len(r) for r in routes]
-    ids = [c.id for c in routeset.carriers]
-    cycles = [c.route.sites for c in routeset.carriers]  # shared by the segments, not copied
-    index = {cid: c for c, cid in enumerate(ids)}
-    alone = [frozenset((cid,)) for cid in ids]  # the arrival set whenever c has no company
+    periods, ids, index, cycles, alone = sched.periods, sched.ids, sched.index, sched.cycles, sched.alone
     names = routeset.sites
     expose_sites = routeset.mode == IDS
     # the agent rides carrier c and stands on site index `site`
@@ -434,6 +430,7 @@ def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
 
 CSV_HEADER = "step,time,carrier,from,to,new_site"
 CSV_BLOCK = 1000  # rows laid out and joined at a time; a power of ten
+CSV_HEADS = 10_000  # rows numbered from one cached table; a multiple of CSV_BLOCK
 _CSV_QUOTED = frozenset('",')  # a field holding one of these is quoted (RFC 4180)
 
 
@@ -446,11 +443,17 @@ def _csv_fields(names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 @functools.cache
-def _csv_digits(block: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The step numbers below `block`, each with its comma: bare (`"7,"`) for
-    block 0, and zero-padded (`"007,"`) to follow a later block's prefix."""
+def _csv_heads(heads: int) -> tuple[str, ...]:
+    """The step and time of each row below `heads`, with their commas: `"7,7,"`."""
+    return tuple([f"{i},{i}," for i in range(heads)])
+
+
+@functools.cache
+def _csv_digits(block: int) -> tuple[str, ...]:
+    """The step numbers below `block`, zero-padded to follow a block's prefix
+    (`"007,"`), each with its comma."""
     width = len(str(block - 1))
-    return tuple(f"{i}," for i in range(block)), tuple(f"{i:0{width}}," for i in range(block))
+    return tuple(f"{i:0{width}}," for i in range(block))
 
 
 def trace_to_csv(trace: Trace) -> str:
@@ -460,25 +463,36 @@ def trace_to_csv(trace: Trace) -> str:
     each carrier and cycle the walk rides, the row tail `"c3,x1,x2,0\n"` of
     every phase; a segment's rows take the tails of its phases in turn. A
     name that holds a comma or a quote is quoted there, the RFC 4180 way,
-    so no row pays for it.
-    Each block of `CSV_BLOCK` rows is then a list of five pieces a row,
-    filled by slice assignment: the step, the time (the same two pieces) and
-    the tail. A block's tails are one slice of the current ride's tail
-    table, joined with the next ride's slice where the block spans rides.
+    so no row pays for it. Only the tails of the first arrivals, which the
+    walk's first-visit pass gives from step 0's departure on, are patched to
+    end `",1\n"`; a walk with no steps writes only the header.
+
+    The rows are laid out `CSV_BLOCK` at a time, as a list of pieces filled
+    by slice assignment. Below `CSV_HEADS` a row is two pieces: its step and
+    time `"7,7,"`, from a table built once a process, on its first CSV, and
+    its tail. Past it a row is five: the step, the time (the same two
+    pieces) and the tail. Step i is then the block's prefix
+    `str(i // CSV_BLOCK)` and the zero-padded digit table's entry for
+    `i % CSV_BLOCK` with its comma, so `CSV_BLOCK` must be a power of ten.
+    Those blocks share one list, its digit slots laid once, so each assigns
+    only its prefixes and tails; the last is trimmed. No row calls `str()`.
+    A block's tails are one slice of the current ride's tail table, joined
+    with the next ride's slice where the block spans rides.
     Neither this nor `run`'s company checks make a generator: on CPython
     3.11 a generator per check or per block costs more than the check itself.
-    Only the tails of the first arrivals, which the walk's
-    first-visit pass gives from step 0's departure on, are patched to end
-    `",1\n"`; a walk with no steps writes only the header.
-    Step i is the block's prefix `str(i // CSV_BLOCK)`, empty in block 0,
-    and the digit table's entry for `i % CSV_BLOCK` with its comma,
-    zero-padded after a prefix; so no row calls `str()`, and `CSV_BLOCK` must
-    be a power of ten. Each joined block is added to one growing string,
-    which CPython resizes in place while `+=` holds its only reference, so
-    the peak stays near the CSV's own size; a list of the blocks joined at
-    the end would hold twice it, and a list of every row string over four
-    times it.
+
+    Each joined block is added to one growing string, which CPython resizes
+    in place while `+=` holds its only reference, so the peak stays near the
+    CSV's own size; a list of the blocks joined at the end would hold twice
+    it, and a list of every row string over four times it. The block loop
+    is a `for` loop: on CPython 3.11 a `while` loop's backward jump does not
+    warm a fresh function's code, so a first call's `+=` would never
+    specialize to the in-place append, and would copy the string every block.
     """
+    csv = CSV_HEADER + "\n"
+    t = len(trace.steps)
+    if not t:
+        return csv
     segments = trace.steps.segments
     tails = {}  # (carrier, cycle) -> the row tail of each phase
     for cid, cycle, _, _ in segments:
@@ -487,17 +501,25 @@ def trace_to_csv(trace: Trace) -> str:
             arcs = zip(sites, sites[1:] + sites[:1])
             tails[cid, cycle] = [f"{field},{a},{b},0\n" for a, b in arcs]
     rides = [(tails[cid, cycle], offset, moves) for cid, cycle, offset, moves in segments]
-    t = len(trace.steps)
     # the first arrivals' steps, popped in step order; a return to the start is not new
-    start = segments[0][1][segments[0][2]] if segments else None
+    start = segments[0][1][segments[0][2]]
     new = [i - 1 for i in _first_visits(start, trace.steps).values() if i][::-1]
     r = done = 0  # the ride the next row belongs to, and how many of its rows are written
-    bare, padded = _csv_digits(CSV_BLOCK)
-    csv = CSV_HEADER + "\n"
-    for o in range(0, t, CSV_BLOCK):
-        n = min(CSV_BLOCK, t - o)
-        pieces = [str(o // CSV_BLOCK) if o else ""] * (5 * n)
-        pieces[1::5] = pieces[3::5] = (padded if o else bare)[:n]
+    block, heads = CSV_BLOCK, CSV_HEADS
+    numbered = _csv_heads(heads)
+    if t > heads:
+        lined = [""] * (5 * block)
+        lined[1::5] = lined[3::5] = _csv_digits(block)
+    for o in range(0, t, block):
+        n = min(block, t - o)
+        if o < heads:
+            pieces, w = [""] * (2 * n), 2
+            pieces[::2] = numbered[o:o + n]
+        else:
+            if n < block:
+                del lined[5 * n:]
+            pieces, w = lined, 5
+            pieces[::5] = pieces[2::5] = (str(o // block),) * n
         parts, left = [], n  # the block's tails: one slice of each ride it crosses
         while left:
             cells, offset, moves = rides[r]
@@ -507,9 +529,9 @@ def trace_to_csv(trace: Trace) -> str:
             done += take
             if done == moves:
                 r, done = r + 1, 0
-        pieces[4::5] = parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
+        pieces[w - 1::w] = parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
         while new and new[-1] < o + n:
-            i = 5 * (new.pop() - o) + 4
+            i = w * (new.pop() - o) + w - 1
             pieces[i] = pieces[i][:-2] + "1\n"
         csv += "".join(pieces)
     return csv

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pvgraph
-from pvgraph import HitchARide, Trace, loads, run, trace_to_csv
+from pvgraph import HitchARide, Trace, Walk, loads, run, trace_to_csv
 from pvgraph.cli import main
 
 
@@ -138,6 +138,9 @@ def test_explore_hitch_covers_and_exits_0(tmp_path, capsys):
 def test_explore_writes_its_csv_without_a_second_copy(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "--family", "sihe", "--n", "40", "--k", "4")
     csv_path = tmp_path / "walk.csv"
+    # a walk one row past the step-and-time table
+    walk = Walk([("c0", ("a", "b"), 0, pvgraph.engine.CSV_HEADS + 1)])
+    trace_to_csv(Trace("c0", walk, False))  # fills the step tables, once a process
     tracemalloc.start()
     try:
         code, _, err = run_cli(capsys, "explore", "--in", str(path), "--strategy", "hitch", "-o", str(csv_path))
@@ -164,6 +167,24 @@ def test_explore_writes_the_pinned_csv_on_a_mid_size_random_system(tmp_path, cap
     rec = json.loads(out)
     assert (rec["moves"], rec["halted"], rec["covered"]) == (moves, True, True), rec
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("strategy, lines, digest", [
+    ("hitch", 16560, "5f63a34487891ea3dd7a44c31d0667f0c172072458d7375a9673226b4b7d51b9"),
+    ("guess", 6253, "a30f81358b9c90aed80e3d2101707d1bdcb9eb56a7ba33a00f7b31a4a3ac9a5a"),
+])
+def test_explore_writes_the_pinned_csv_on_sihe_36_4(tmp_path, capsys, strategy, lines, digest):
+    # the CI pins: long rides over many 1,000-row blocks, and hitch's CSV crosses the
+    # 10,000-row edge of the step-and-time table
+    path = gen_file(tmp_path, capsys, "--family", "sihe", "--n", "36", "--k", "4")
+    csv_path = tmp_path / "walk.csv"
+    code, out, err = run_cli(capsys, "explore", "--in", str(path), "--strategy", strategy, "-o", str(csv_path))
+    assert code == 0, err
+    rec = json.loads(out)
+    assert (rec["moves"] + 1, rec["halted"], rec["covered"]) == (lines, True, True), rec
+    data = csv_path.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_explore_guess_exits_0(tmp_path, capsys):

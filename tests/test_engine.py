@@ -6,9 +6,12 @@ import dataclasses
 import io
 import math
 import pickle
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 from itertools import count
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -317,7 +320,7 @@ def test_run_and_the_csv_make_no_python_call_per_checked_phase_or_row(kind):
     tr, calls = _engine_calls(run, rs, strategy, inst.start, decide=type(strategy).decide.__code__)
     # the company checks are plain loops: a few calls a decide, none a checked phase
     assert calls["decide"] > 0 and calls["engine"] <= 2 * calls["decide"] + 20, calls
-    text = trace_to_csv(tr)  # fills the step digit cache, once a process
+    text = trace_to_csv(tr)  # fills the step tables, once a process
     again, calls = _engine_calls(trace_to_csv, tr)
     segments = tr.steps.segments
     blocks = -(-tr.moves // pvgraph.engine.CSV_BLOCK)
@@ -390,6 +393,7 @@ def test_csv_is_built_without_a_list_of_rows():
     rs = inst.routeset
     tr = run(rs, HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs)), inst.start)
     assert tr.moves > 100_000
+    trace_to_csv(tr)  # fills the step tables, once a process
     tracemalloc.start()
     try:
         csv = trace_to_csv(tr)
@@ -399,6 +403,33 @@ def test_csv_is_built_without_a_list_of_rows():
     # one string grown in place, plus one block's pieces; a list of the blocks joined at
     # the end reads ~2x, and one joined list of every row ~4.5x
     assert peak < 1.25 * len(csv), (peak, len(csv))
+
+
+def test_a_first_csv_holds_its_tables_and_one_copy_of_itself():
+    # a fresh interpreter: the tables are unbuilt and trace_to_csv's code is cold
+    src = Path(pvgraph.__file__).resolve().parents[1]
+    code = textwrap.dedent(f"""
+        import sys, tracemalloc
+        sys.path.insert(0, {str(src)!r})
+        from pvgraph import HitchARide, is_homogeneous, make_instance, run, trace_to_csv
+        inst = make_instance("sihe", 40, 4)
+        rs = inst.routeset
+        tr = run(rs, HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs)), inst.start)
+        tracemalloc.start()
+        csv = trace_to_csv(tr)
+        size, peak = len(csv), tracemalloc.get_traced_memory()[1]
+        del csv
+        print(size, peak, tracemalloc.get_traced_memory()[0])
+    """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", timeout=120)
+    assert done.returncode == 0, done.stderr
+    size, peak, held = map(int, done.stdout.split())
+    mib = 2**20
+    # what the process keeps: the step-and-time table and the zero-padded digits
+    assert held <= 0.75 * mib, held
+    # the tables, one block's pieces and the string grown in place even on a first call;
+    # a `+=` that copies the string every block reads ~2x
+    assert peak < 1.25 * size + 0.75 * mib, (peak, size, held)
 
 
 def reference_csv(trace: Trace) -> str:
@@ -415,14 +446,21 @@ def reference_csv(trace: Trace) -> str:
 
 
 @pytest.mark.parametrize("block", [10, pvgraph.engine.CSV_BLOCK])  # powers of ten
-@pytest.mark.parametrize("span", ["short", "B-1", "B", "B+1", "2B+1"])
+@pytest.mark.parametrize("span", ["short", "B-1", "B", "B+1", "2B+1", "H-1", "H", "H+1", "H+B+1"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_csv_matches_the_row_by_row_reference(block, span, data):
+    # blocks of B rows; the first H rows take their step and time from one table, the
+    # rest a block prefix and digits: walks that end on either side of a block edge
+    # below H and of H itself, and one that crosses a whole block past H
+    heads = 3 * block
     kind = data.draw(
         st.sampled_from(["walk", "no moves", "revisits start"]), label="kind"
     )
-    lengths = {"short": None, "B-1": block - 1, "B": block, "B+1": block + 1, "2B+1": 2 * block + 1}
+    lengths = {
+        "short": None, "B-1": block - 1, "B": block, "B+1": block + 1, "2B+1": 2 * block + 1,
+        "H-1": heads - 1, "H": heads, "H+1": heads + 1, "H+B+1": heads + block + 1,
+    }
     m = lengths[span] if lengths[span] is not None else data.draw(st.integers(1, 30), label="m")
     if kind == "no moves":
         m = 0
@@ -446,7 +484,7 @@ def test_csv_matches_the_row_by_row_reference(block, span, data):
         for _ in range(data.draw(st.integers(1, 3), label="returns")):
             tos[data.draw(at, label="return at")] = froms[0]
     tr = Trace("c0", Walk.of(map(TimedEdge, count(), carriers, froms, tos)), False)
-    with mock.patch.object(pvgraph.engine, "CSV_BLOCK", block):
+    with mock.patch.multiple(pvgraph.engine, CSV_BLOCK=block, CSV_HEADS=heads):
         assert trace_to_csv(tr).encode() == reference_csv(tr).encode()
 
 
@@ -475,8 +513,9 @@ def test_csv_quotes_names_that_hold_a_comma_or_a_quote():
 
 @pytest.mark.parametrize("block", [10, 100])
 def test_csv_step_numbers_cross_every_digit_count_of_the_block_prefix(block):
-    # with 10 rows a block, the prefix runs "", "1", ..., "9", "10", ..., "99", "100", ...,
-    # "999", "1000", ..., "1004"; with 100, the table entries after it are zero-padded ("07,")
+    # the first 2 blocks take their step and time from one table; with 10 rows a block,
+    # the prefix then runs "2", ..., "9", "10", ..., "99", "100", ..., "999", "1000", ...,
+    # "1004"; with 100, the digit table entries after it are zero-padded ("07,")
     m = 10_050
     sites = "abcdefg"
     tos = [sites[(i * i) % 7] for i in range(m)]
@@ -485,10 +524,12 @@ def test_csv_step_numbers_cross_every_digit_count_of_the_block_prefix(block):
     carriers = [f"c{i % 3}" for i in range(m)]
     walk = Walk.of(map(TimedEdge, count(), carriers, froms, tos))
     tr = Trace("c0", walk, False)
-    with mock.patch.object(pvgraph.engine, "CSV_BLOCK", block):
+    with mock.patch.multiple(pvgraph.engine, CSV_BLOCK=block, CSV_HEADS=2 * block):
         csv = trace_to_csv(tr)
     assert csv.encode() == reference_csv(tr).encode()
     rows = csv.splitlines()
+    h = 2 * block  # the last row from the table, and the first after it
+    assert rows[h].startswith(f"{h - 1},{h - 1},c") and rows[h + 1].startswith(f"{h},{h},c")
     assert rows[91] == f"90,90,c0,{froms[90]},{tos[90]},0"
     assert rows[10_001].startswith("10000,10000,")
     assert rows[9_996].endswith(",x,1") and rows[10_001].endswith(",x,0")
@@ -660,8 +701,9 @@ def test_long_rides_match_deciding_every_instant(data):
     here = [rs.by_id[start].route.at(0), *tr.steps.tos]
     assert list(pvgraph.engine._first_visits(here[0], tr.steps)) == list(dict.fromkeys(here))
     assert trace_to_csv(tr) == reference_csv(tr)
-    # blocks of 10 rows: rides start mid-cycle and lap short cycles across block edges
-    with mock.patch.object(pvgraph.engine, "CSV_BLOCK", 10):
+    # blocks of 10 rows after the first 20: rides start mid-cycle and lap short cycles
+    # across block edges
+    with mock.patch.multiple(pvgraph.engine, CSV_BLOCK=10, CSV_HEADS=20):
         assert trace_to_csv(tr) == reference_csv(tr)
     assert tr.covers(rs) == is_concrete_cover(rs, tr) == (set(here) == set(rs.sites))
 

@@ -1,6 +1,7 @@
 """Presentation-invariance laws: a system is its schedule, and its text is one
 presentation of it, so answers must not depend on how the sites are named, how many
-times each route is written out, or at which phase the routes are written from."""
+times each route is written out, at which phase the routes are written from, or in
+which order the carriers are listed."""
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from pvgraph import (
     RouteSet,
     Walk,
     exact_feasible,
+    is_concrete_cover,
     is_feasible,
     is_homogeneous,
     min_moves,
@@ -90,3 +92,28 @@ def test_rotating_every_route_by_one_shift_changes_no_feasibility(data):
 
     assert is_feasible(rotated) == is_feasible(rs)
     assert exact_feasible(rotated) == exact_feasible(rs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reordering_the_carriers_keeps_feasibility_and_the_strategies_caps(data):
+    # both strategies break ties by carrier id and list order, so their walks may change;
+    # on a feasible system each still halts with a cover within its proved cap
+    rs = data.draw(drawn_systems(7, 5, 5, shared=True), label="system")
+    order = data.draw(st.permutations(rs.carriers), label="order")
+    reordered = RouteSet(tuple(order), rs.mode, rs.sites)
+
+    assert is_feasible(reordered) == is_feasible(rs)
+    assert exact_feasible(reordered) == exact_feasible(rs)
+    if not is_feasible(rs):
+        return
+    start = data.draw(st.sampled_from([c.id for c in rs.carriers]), label="start")
+    p = rs.max_period
+    per = p if is_homogeneous(rs) else p * p
+    caps = {"hitch": (3 * rs.k - 2) * per, "guess": 12 * rs.k * per - 1}  # guess: under 12kP
+    assert max(caps.values()) < MOVE_LIMIT  # a run the limit cuts off has passed its cap
+    for s in (rs, reordered):
+        for kind, strategy in (("hitch", HitchARide(p, is_homogeneous(s))), ("guess", GuessingRide(s.n))):
+            tr = run(s, strategy, start, MOVE_LIMIT)
+            assert tr.halted and is_concrete_cover(s, tr), (kind, tr)
+            assert tr.moves <= caps[kind], (kind, tr.moves, caps)
