@@ -17,22 +17,27 @@ from .errors import IllegalAction, InconsistentWalk
 
 
 class Observation(NamedTuple):
-    """What the agent knows at one instant, before choosing its action."""
+    """What the agent knows at one instant, before choosing its action.
+
+    With site identities it also reads `sites_seen`, the distinct sites the
+    walk has stood on, this one included; without them both are None."""
 
     time: int
     current_carrier: str
     arriving_carriers: frozenset[str]
     site_identity: str | None  # None when the system hides site names
+    sites_seen: int | None = None
 
 
 class Ride(NamedTuple):
-    """Board or stay on `carrier`; `moves > 1` asks to ride it on alone, and
-    `past` and `sites` name the stops such a ride may pass (see `Strategy`)."""
+    """Board or stay on `carrier` for up to `moves` moves; `past` names the
+    carriers whose company the ride passes, and `sites` the count of
+    distinct sites stood on at which it stops, 0 for never (see `Strategy`)."""
 
     carrier: str
     moves: int = 1
     past: frozenset[str] = frozenset()
-    sites: bool = True
+    sites: int = 0
 
 
 @dataclass(frozen=True)
@@ -49,20 +54,22 @@ class Strategy(Protocol):
     """Chooses each action. One with a proved cap on its moves may also define
     `move_bound(routeset) -> int`, and `run` then never cuts it off earlier.
 
-    A `Ride(carrier, moves, past, sites)` that keeps the current carrier may
-    ride on alone through many instants: `run` makes up to `moves` moves
-    before it asks again. It stops at the first instant a carrier whose id is
-    not in `past` shares the agent's site, at the first site the walk has not
-    seen (with site identities, and only if `sites` is true), at the move
-    limit, or after `moves` moves, whichever comes first, however many laps
-    of the carrier's route that takes; a switch makes one move. So `past`
-    names the carriers whose company cannot change the answer, and `sites`
-    False says a site's name cannot. A `past` that holds every carrier the
-    current one ever meets leaves no company to stop at, and `run` checks
-    none. The strategy reads how far it got from the next observation's
-    `time`, so it must answer exactly as it would have at each instant
-    skipped. `moves` must be an `int >= 1`, and a lone ride's `past` a set
-    or frozenset.
+    A `Ride(carrier, moves, past, sites)` makes its first move on `carrier`,
+    a switch if it is another arriving carrier, and then rides it on alone:
+    `run` makes up to `moves` moves in all before it asks again. It stops at
+    the first instant a carrier other than its own, whose id is not in
+    `past`, shares the agent's site; at the instant the walk first stands on
+    its `sites`-th distinct site (with site identities, and never for
+    `sites` 0 or a count already reached); at the move limit; or after
+    `moves` moves, whichever comes first, however many laps of the
+    carrier's route that takes. So `past` names the carriers whose company
+    cannot change the answer, and `sites` the one site count that can. A
+    `past` that holds every carrier the ride's carrier ever meets leaves no
+    company to stop at, and `run` checks none. The strategy reads how far it
+    got from the next observation's `time`, so it must answer exactly as it
+    would have at each instant skipped. `moves` must be an `int >= 1`,
+    `sites` an `int >= 0`, and the `past` of a ride of more than one move a
+    set or frozenset.
     """
 
     def decide(self, obs: Observation) -> Action: ...
@@ -258,14 +265,15 @@ def run(
 
     The walk is recorded as one segment per ride on one carrier (see `Walk`):
     a stop that keeps the carrier extends the open segment. Only with site
-    identities does the run track the sites it has seen, as indices, for the
-    lone-ride stop at an unseen site; a ride that passes unseen sites adds
-    them all, so a later ride stops only at sites truly unseen, and a
-    carrier is fully seen once its `Schedule.domains` entry is.
+    identities does the run track the sites it has seen, as indices, for
+    `sites_seen` and the stop at a site count: a counting ride finds its
+    stop by reading only the sites ahead it has not seen, and adds only
+    those it reached; any other adds the arc it rode. A carrier is fully
+    seen once its `Schedule.domains` entry is.
 
-    A lone ride whose `past` holds all of its carrier's `Schedule.mates`
-    goes straight to its last move; any other checks the listed company
-    phase by phase, jumping the quiet stretches.
+    A ride whose `past` holds all of its carrier's `Schedule.mates` goes
+    straight to its last move; any other checks the listed company phase by
+    phase, jumping the quiet stretches.
     """
     if move_limit is None:
         move_limit = default_move_limit(routeset, strategy)
@@ -298,7 +306,10 @@ def run(
             arriving = frozenset(present)
         else:
             arriving = alone[c]
-        obs = Observation(t, ids[c], arriving, names[site] if expose_sites else None)
+        if expose_sites:
+            obs = Observation(t, ids[c], arriving, names[site], len(seen))
+        else:
+            obs = Observation(t, ids[c], arriving, None)
         action = strategy.decide(obs)
         if not isinstance(action, Ride):  # the common case tested first: a ride
             if isinstance(action, Halt):
@@ -310,32 +321,39 @@ def run(
             raise IllegalAction(f"carrier {cid} is not at the agent's site at t={t}")
         if type(moves) is not int or moves < 1:
             raise IllegalAction(f"ride of {moves!r} moves at t={t}, not an int >= 1")
+        if type(sites) is not int or sites < 0:
+            raise IllegalAction(f"ride stopping at {sites!r} sites at t={t}, not an int >= 0")
         d = index[cid]
         j = 1
-        if d != c:  # a switch: one move on the new carrier, in a new segment
+        fresh = None
+        if d != c:  # a switch: the ride's first move, on the new carrier in a new segment
             if t > t0:
                 segments.append((ids[c], cycles[c], t0_phase, t - t0))
             c = d
             phase = t0_phase = t % periods[c]
             t0 = t
-        elif moves > 1:
-            # riding on alone: stop at the asked moves, the limit, the first unseen
-            # site if asked, or where a carrier not passed stands on the site; quiet
-            # phases are jumped, and a ride that passes every carrier c ever meets
-            # checks no company at all
-            p = periods[c]
+        if moves > 1:
+            # riding on alone: stop at the asked moves, the limit, the site count if
+            # asked, or where a carrier not passed stands on the site; quiet phases
+            # are jumped, and a ride that passes every carrier c ever meets checks no
+            # company at all
+            p, route = periods[c], routes[c]
             most = min(moves, move_limit - t)
-            if sites and not done[c]:  # capped before the loop scans laps past it
-                ahead = _arc(routes[c], phase + 1, min(most, p))
-                unseen = next(filterfalse(seen.__contains__, ahead), None)
-                if unseen is not None:
-                    most = ahead.index(unseen) + 1
+            if sites and not done[c] and sites > len(seen):  # capped before the loop scans laps past it
+                ahead = _arc(route, phase + 1, min(most, p))
+                fresh, reach = {}, 0  # each unseen site ahead -> the moves that first reach it
+                for x in filterfalse(seen.__contains__, ahead):
+                    if x not in fresh:
+                        reach = fresh[x] = ahead.index(x, reach) + 1
+                        if len(fresh) + len(seen) == sites:
+                            most = reach
+                            break
             try:
                 if past.issuperset(mates[c]):
                     j = most
             except AttributeError:
                 raise IllegalAction(f"ride past {past!r} at t={t}, not a set of carrier ids") from None
-            lone, listed, route = quiet[c], company[c], routes[c]
+            lone, listed = quiet[c], company[c]
             while j < most:
                 i = (phase + j) % p
                 if lone[i]:
@@ -351,11 +369,13 @@ def run(
             j = min(j, most)
         t += j
         site = routes[c][t % periods[c]]
-        if not done[c]:  # a ride that stops at unseen sites can find only its last one new
-            if j == 1 or sites:
+        if not done[c]:
+            if j == 1:
                 seen.add(site)
-            else:
+            elif fresh is None:
                 seen.update(_arc(routes[c], phase + 1, min(j, periods[c])))
+            else:  # only the unseen sites the counting ride reached
+                seen.update(fresh if reach <= j else [x for x in fresh if fresh[x] <= j])
             done[c] = seen.issuperset(domains[c])
         if t >= move_limit:
             break

@@ -83,7 +83,7 @@ def _search(
     n = routeset.n
     L = math.lcm(*map(len, routes))
     full = (1 << n) - 1
-    c0 = [c.id for c in routeset.carriers].index(start_carrier)
+    c0 = sched.index[start_carrier]
     x0 = routes[c0][0]
     if 1 << x0 == full:
         return 0

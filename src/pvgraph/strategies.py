@@ -35,10 +35,10 @@ class HitchARide:
     so by then none is pending anywhere. With B >= max period on a coverable
     system this covers the meeting-graph component within (3k-2)*B' moves.
 
-    It never reads a site name, so its rides pass unseen sites
-    (`sites=False`). A visit passes every carrier already visited or
-    pending, whose company it would not record; a seek passes those less its
-    targets, or less its parent once no target is left.
+    It never reads a site name, so its rides stop at no site count
+    (`sites=0`). A visit, boarding included, passes every carrier already
+    visited or pending, whose company it would not record; a seek passes
+    those less its targets, or less its parent once no target is left.
     """
 
     def __init__(self, bound: int, homogeneous_known: bool = False):
@@ -71,7 +71,7 @@ class HitchARide:
             self._met |= met
             self._nbrs[c] |= met
         if obs.time < end:
-            return Ride(c, end - obs.time, self._met, False)
+            return Ride(c, end - obs.time, self._met, 0)
         return self._dispatch(c, obs)
 
     def _enter(self, parent: str | None, c: str, t: int) -> None:
@@ -86,7 +86,7 @@ class HitchARide:
         if here:
             child = min(here)
             self._enter(c, child, obs.time)
-            return Ride(child)  # the switch itself is the first of the child's B' visit moves
+            return Ride(child, self.visit_len, self._met, 0)  # the switch is the visit's first move
         if not targets:
             par = self._parent[c]
             if par is None:
@@ -96,7 +96,7 @@ class HitchARide:
         # seek: only c's own route guarantees meeting the carrier it waits for;
         # it passes every carrier met but those it waits for
         self._state = (c, None)
-        return Ride(c, self.visit_len, self._met - (targets or {par}), False)
+        return Ride(c, self.visit_len, self._met - (targets or {par}), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +110,14 @@ class GuessingRide:
     `guess` moves, n at first. A leg that runs dry away from the root
     backtracks toward its parent; rediscovering anything unexpected, or
     running dry again, scraps the attempt: the guess doubles and the
-    traversal restarts from wherever the agent is, keeping only the set of
-    sites seen. Halts the instant that set reaches n.
+    traversal restarts from wherever the agent is; the sites seen carry
+    over. Halts the instant the walk has stood on n distinct sites, which it
+    reads from `Observation.sites_seen`.
 
-    Its rides pass the carriers known this attempt, less the parent while
-    backtracking. They stop at unseen sites, since a first visit may be the
-    n-th and halt the run.
+    Its rides, boarding a child or the parent included, pass the carriers
+    known this attempt, less the parent while backtracking. They stop only
+    at the n-th site (`sites=n`), where the run halts: no other first visit
+    changes its answer.
     """
 
     def __init__(self, n: int):
@@ -123,7 +125,6 @@ class GuessingRide:
             raise ValueError("n must be >= 1")
         self.n = n
         self.guess = n
-        self.seen_sites: set[str] = set()
         self._known: frozenset[str] = frozenset()  # carriers seen this attempt
         self._parent: dict[str, str] = {}  # every carrier boarded this attempt but its root
         self._state: tuple[str, str, int] | None = None  # (mode, carrier, instant the leg began)
@@ -131,8 +132,7 @@ class GuessingRide:
     def decide(self, obs: Observation) -> Action:
         if obs.site_identity is None:
             raise NotIdMode("this strategy needs site identities")
-        self.seen_sites.add(obs.site_identity)
-        if len(self.seen_sites) >= self.n:
+        if obs.sites_seen >= self.n:
             return HALT
         t = obs.time
         if self._state is None:
@@ -149,9 +149,9 @@ class GuessingRide:
                     self._known |= {child}  # only the boarded one is recorded
                     self._parent[child] = c
                     self._state = ("explore", child, t)
-                    return Ride(child)
+                    return Ride(child, self.guess, self._known, self.n)
                 if spent < self.guess:
-                    return Ride(c, self.guess - spent, self._known)
+                    return Ride(c, self.guess - spent, self._known, self.n)
                 if c not in self._parent:
                     self._restart(c, t)  # budget spent at the root: bigger guess
                     continue
@@ -161,11 +161,11 @@ class GuessingRide:
             par = self._parent[c]
             if par in obs.arriving_carriers:
                 self._state = ("explore", par, t)
-                return Ride(par)
+                return Ride(par, self.guess, self._known, self.n)
             if obs.arriving_carriers - self._known or spent >= self.guess:
                 self._restart(c, t)
                 continue
-            return Ride(c, self.guess - spent, self._known - {par})
+            return Ride(c, self.guess - spent, self._known - {par}, self.n)
 
     def _restart(self, root: str, t: int) -> None:
         if self._state is not None:

@@ -19,6 +19,19 @@ def stars(k, B):
     return rs_of(*[["o", *(f"l{c}.{j}" for j in range(1, B))] for c in range(k)])
 
 
+def counted(cls):
+    """`cls` with a count of its `decide` calls."""
+
+    class Counted(cls):
+        calls = 0
+
+        def decide(self, obs):
+            self.calls += 1
+            return super().decide(obs)
+
+    return Counted
+
+
 @st.composite
 def drawn_systems(draw, n, k, period, shared=False, modes=(IDS,)):
     """Up to `k` carriers on routes of 1 to `period` slots over sites s0..s{m-1}, m ≤ `n`.

@@ -45,7 +45,7 @@ import pvgraph.engine
 from pvgraph.core import ANONYMOUS
 from pvgraph.engine import _walk_fault
 
-from helpers import drawn_systems, rs_of
+from helpers import counted, drawn_systems, rs_of
 
 
 class Scripted:
@@ -88,10 +88,12 @@ def test_arrivals_match_the_reference_scan(data):
     tr = run(rs, rider, start, move_limit=moves + 1)
     assert tr.halted and tr.moves == moves
     assert replay_check(rs, tr) == (True, None)
+    here = [rs.by_id[start].route.at(0), *tr.steps.tos]
     for obs in rider.seen:
         site = rs.carrier(obs.current_carrier).route.at(obs.time)
         assert obs.arriving_carriers == carriers_at(rs, obs.time, site)
         assert obs.site_identity == (site if rs.mode == IDS else None)
+        assert obs.sites_seen == (len(set(here[:obs.time + 1])) if rs.mode == IDS else None)
 
 
 def test_first_observation_is_time_zero_with_arrivals():
@@ -176,8 +178,10 @@ def test_records_are_immutable():
 def test_records_with_equal_fields_are_equal_and_hash_alike():
     for a, b in zip(_records(), _records()):
         assert a is not b and a == b and hash(a) == hash(b)
-    assert isinstance(Ride("c1"), Ride) and Ride("c1") == ("c1", 1, frozenset(), True) == Ride("c1", 1)
-    assert Ride("c1", 2) == ("c1", 2, frozenset(), True) and Ride("c1", 2) != Ride("c1")
+    # a ride's defaults: one move, no carrier passed, no site count to stop at
+    assert isinstance(Ride("c1"), Ride) and Ride("c1") == ("c1", 1, frozenset(), 0) == Ride("c1", 1)
+    assert Ride("c1", 2) == ("c1", 2, frozenset(), 0) and Ride("c1", 2) != Ride("c1")
+    assert Observation(0, "c0", frozenset({"c0"}), None) == (0, "c0", {"c0"}, None, None)
     assert Ride("c1") != Ride("c2") and HALT != Ride("c1")
 
 
@@ -731,19 +735,20 @@ def test_a_lone_ride_stops_where_company_stands_and_nowhere_it_need_not(data):
     assert tr == run(rs, DecideOnly(RideOn()), start, move_limit=limit)
     here = [rs.by_id[start].route.at(0), *tr.steps.tos]  # the agent's site at each instant
     met = [len(carriers_at(rs, u, here[u])) > 1 for u in range(tr.moves)]
-    new = [u == 0 or here[u] not in here[:u] for u in range(tr.moves)]
     asked = set(rider.asked)
     assert rider.asked[0] == 0 and rider.asked == sorted(asked)
     assert all(u in asked for u in range(tr.moves) if met[u])  # asked wherever company stands
     for a, u in zip(rider.asked, [*rider.asked[1:], tr.moves]):
-        # no ask it could have skipped: the next stands on company, an unseen site or the limit
-        assert u == tr.moves or met[u] or (rs.mode == IDS and new[u]), (a, u)
+        # no ask it could have skipped: the next stands on company or the limit, and a
+        # ride that names no site count passes unseen sites
+        assert u == tr.moves or met[u], (a, u)
 
 
 class RidePast:
-    """Rides its carrier on, each ride drawing its moves (often past the limit),
-    the carriers it passes and whether it passes unseen sites; `rides` holds
-    each ask's `(time, moves, past, sites)`."""
+    """Rides its carrier on, or switches to another arriving one, each ride
+    drawing its moves (often past the limit), the carriers it passes and the
+    site count it stops at, often one to three sites on; `rides` holds each
+    ask's `(observation, carrier, moves, past, sites)`."""
 
     def __init__(self, rng, ids):
         self.rng, self.ids = rng, ids
@@ -751,35 +756,41 @@ class RidePast:
 
     def decide(self, obs: Observation):
         rng = self.rng
+        cid = rng.choice(sorted(obs.arriving_carriers)) if rng.random() < 0.5 else obs.current_carrier
         moves = rng.randint(1, 12) if rng.random() < 0.5 else 10**9
         past = frozenset(x for x in self.ids if rng.random() < 0.5)
-        sites = rng.random() < 0.5
-        self.rides.append((obs.time, moves, past, sites))
-        return Ride(obs.current_carrier, moves, past, sites)
+        sites = max(0, (obs.sites_seen or 0) + rng.randint(-1, 3)) if rng.random() < 0.7 else 0
+        self.rides.append((obs, cid, moves, past, sites))
+        return Ride(cid, moves, past, sites)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_a_lone_ride_passes_the_company_and_the_unseen_sites_it_names(data):
+def test_a_ride_stops_at_its_first_due_instant(data):
     rs = data.draw(drawn_systems(6, 4, 8, modes=(IDS, ANONYMOUS)), label="system")
     ids = [c.id for c in rs.carriers]
     start = data.draw(st.sampled_from(ids), label="start")
     limit = data.draw(st.integers(1, 80), label="limit")
     rider = RidePast(data.draw(st.randoms(use_true_random=False), label="rng"), ids)
     tr = run(rs, rider, start, move_limit=limit)
-    assert tr == run(rs, DecideOnly(RideOn()), start, move_limit=limit)
+    assert replay_check(rs, tr) == (True, None)
+    assert not tr.halted and tr.moves == limit
     here = [rs.by_id[start].route.at(0), *tr.steps.tos]  # the agent's site at each instant
-    new = [here[u] not in here[:u] for u in range(tr.moves)]
-    asked = [a for a, _, _, _ in rider.rides]
+    count = [len(set(here[:u + 1])) for u in range(tr.moves + 1)]  # distinct sites stood on
+    carriers = tr.steps.carriers
+    asked = [obs.time for obs, *_ in rider.rides]
     assert asked[0] == 0
-    for (a, moves, past, sites), u in zip(rider.rides, [*asked[1:], tr.moves]):
-        # each ride stops at its first instant where a carrier it does not pass stands,
-        # or at an unseen site if it asks to and the system names sites; else after
-        # its moves or at the limit. Sites an earlier ride passed are seen.
+    for (obs, cid, moves, past, sites), u in zip(rider.rides, [*asked[1:], tr.moves]):
+        a = obs.time
+        assert obs.sites_seen == (count[a] if rs.mode == IDS else None)
+        assert set(carriers[a:u]) == {cid}  # a switch is the ride's first move
+        # each ride stops at its first instant where a carrier other than its own that it
+        # does not pass stands, or, with site names, where the walk first stands on its
+        # `sites`-th distinct site; else after its moves or at the limit
         due = [v for v in range(a + 1, min(a + moves, tr.moves))
-               if any(x != start and x not in past for x in carriers_at(rs, v, here[v]))
-               or (sites and rs.mode == IDS and new[v])]
-        assert u == min([*due, a + moves, tr.moves]), (a, u, moves, past, sites)
+               if any(x != cid and x not in past for x in carriers_at(rs, v, here[v]))
+               or (rs.mode == IDS and count[v] == sites > count[v - 1])]
+        assert u == min([*due, a + moves, tr.moves]), (a, u, cid, moves, past, sites)
 
 
 class Rows(tuple):
@@ -791,7 +802,7 @@ class Rows(tuple):
 
 
 class RidePassing:
-    """Rides its carrier on for good, passing the carriers `past` and unseen sites;
+    """Rides its carrier on for good, passing the carriers `past`;
     `asked` holds the instants it was asked at."""
 
     def __init__(self, past):
@@ -800,7 +811,7 @@ class RidePassing:
 
     def decide(self, obs: Observation):
         self.asked.append(obs.time)
-        return Ride(obs.current_carrier, 10**9, self.past, False)
+        return Ride(obs.current_carrier, 10**9, self.past, 0)
 
 
 def test_a_lone_ride_that_passes_every_mate_reads_no_company_row():
@@ -840,6 +851,16 @@ def test_a_ride_of_other_than_a_positive_int_of_moves_is_illegal(moves):
         run(rs, RideOn(moves), "c0", move_limit=10)
 
 
+@pytest.mark.parametrize("sites", [True, False, 1.0, -1, "2", None])
+def test_a_ride_to_other_than_a_count_of_sites_is_illegal(sites):
+    rs = rs_of(["a", "b", "c"])
+    with pytest.raises(IllegalAction, match="sites"):
+        run(rs, Scripted([Ride("c0", 5, frozenset(), sites)]), "c0", move_limit=10)
+    # a one-move ride is checked too
+    with pytest.raises(IllegalAction, match="sites"):
+        run(rs, Scripted([Ride("c0", 1, frozenset(), sites)]), "c0", move_limit=10)
+
+
 @pytest.mark.parametrize("past", [("c1",), ["c1"], "c1", None])
 def test_a_lone_ride_past_other_than_a_set_of_ids_is_illegal(past):
     rs = rs_of(["a", "b", "c"], ["a", "x"], mode=ANONYMOUS)
@@ -857,19 +878,6 @@ class DecideProxy:
 
     def decide(self, obs: Observation):
         return self.inner.decide(obs)
-
-
-def counted(cls):
-    """`cls` with a count of its `decide` calls."""
-
-    class Counted(cls):
-        calls = 0
-
-        def decide(self, obs):
-            self.calls += 1
-            return super().decide(obs)
-
-    return Counted
 
 
 @pytest.mark.parametrize("kind", ["hitch", "guess"])
@@ -899,7 +907,7 @@ def test_hitch_rides_alike_with_and_without_site_names(spec):
     assert tr.halted and tr == run(anonymous, blind, inst.start)
     # hitch never reads a site name, so its rides pass unseen sites: the same asks
     assert named.calls == blind.calls
-    if spec[0] == "random":  # guess stops at unseen sites, but passes the carriers it knows
+    if spec[0] == "random":  # guess stops only at its n-th site, and passes the carriers it knows
         guess = counted(GuessingRide)(rs.n)
         assert run(rs, guess, inst.start).halted and guess.calls < 100
 

@@ -8,6 +8,7 @@ from pvgraph import (
     HitchARide,
     NotIdMode,
     build_meeting_graph,
+    default_move_limit,
     is_concrete_cover,
     is_homogeneous,
     make_instance,
@@ -16,7 +17,7 @@ from pvgraph import (
 from pvgraph.core import ANONYMOUS
 from pvgraph.strategies import NoNewSiteTimeout, SiteRevisitHalt
 
-from helpers import drawn_systems, rs_of, stars
+from helpers import counted, drawn_systems, rs_of, stars
 
 
 def test_hitch_single_carrier_rides_exactly_b_moves():
@@ -158,6 +159,57 @@ def test_guess_respects_cost_budget_across_family_corpus():
             tr = run(rs, GuessingRide(rs.n), c.id)
             assert tr.halted and tr.covers(rs), (family, c.id)
             assert tr.moves < cap, (family, c.id, tr.moves, cap)
+
+
+#: guess's runs from c0 on `stars(k, B)` (ROADMAP item 15): each halts with a cover,
+#: but over criterion 3's cap of 12kB
+GUESS_ON_STARS = [(22, 2, 545), (17, 3, 623), (15, 4, 727), (32, 4, 3_223)]
+
+
+@pytest.mark.parametrize("k,B,moves", GUESS_ON_STARS)
+def test_guess_covers_a_star_in_its_recorded_moves(k, B, moves):
+    rs = stars(k, B)
+    tr = run(rs, GuessingRide(rs.n), "c0")
+    assert tr.halted and tr.covers(rs)
+    assert tr.moves == moves
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: guess exceeds criterion 3's 12kP on stars")
+@pytest.mark.parametrize("k,B,moves", GUESS_ON_STARS)
+def test_guess_covers_a_star_within_criterion_3s_cap(k, B, moves):
+    rs = stars(k, B)
+    tr = run(rs, GuessingRide(rs.n), "c0")
+    assert tr.moves < 12 * k * B
+
+
+def test_guess_on_the_63_site_star_is_cut_off_by_the_default_limit():
+    # ROADMAP item 15: an honest run on a feasible homogeneous system, cut off
+    rs = stars(62, 2)
+    guess = GuessingRide(rs.n)
+    assert default_move_limit(rs, guess) == 3_968
+    tr = run(rs, guess, "c0")
+    assert not tr.halted and not tr.covers(rs)
+    assert tr.moves == 3_968
+
+
+@pytest.mark.parametrize("spec,kind,moves,decides", [
+    (("random", 40, 8, 30), "hitch", 6_558, 28),
+    (("random", 40, 8, 30), "guess", 996, 28),
+    (("thm7", 60, 10, None), "hitch", 1_000, 11),
+    (("thm7", 60, 10, None), "guess", 1_050, 14),
+])
+def test_each_leg_is_one_decide(spec, kind, moves, decides):
+    # a switch rides on, and guess stops only at its n-th site; with one-move switches
+    # and a guess stop at each first visit, hitch made 40 and 20 decides here, guess 78 and 82
+    inst = make_instance(*spec, seed=1)
+    rs = inst.routeset
+    if kind == "hitch":
+        strategy = counted(HitchARide)(rs.max_period, homogeneous_known=is_homogeneous(rs))
+    else:
+        strategy = counted(GuessingRide)(rs.n)
+    tr = run(rs, strategy, inst.start)
+    assert tr.halted and tr.covers(rs)
+    assert (tr.moves, strategy.calls) == (moves, decides)
 
 
 def test_strategies_are_single_use():
