@@ -4,6 +4,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from pvgraph import IDS, RouteSet
+from pvgraph.cli import main
 
 
 def rs_of(*routes, mode=IDS):
@@ -17,6 +18,20 @@ def stars(k, B):
     Homogeneous and feasible, over n = 1 + k(B−1) sites.
     """
     return rs_of(*[["o", *(f"l{c}.{j}" for j in range(1, B))] for c in range(k)])
+
+
+def cli_runner(capsys):
+    """`pvg` in this process: called with an argv, it returns (exit code, stdout, stderr)."""
+
+    def pvg(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return pvg
 
 
 def counted(cls):
