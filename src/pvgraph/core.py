@@ -189,9 +189,8 @@ class Schedule:
 
     The rest are per-carrier lookups every run needs, laid out once here:
     each carrier's `period`, its id in `ids` and the `index` back from it,
-    its route's named sites in `cycles` (the route's own tuple, which a
-    walk's segments share), and in `alone` the arrival set `{id}` of an
-    instant it has no company.
+    and in `alone` the arrival set `{id}` of an instant it has no company.
+    The schedule holds no site names.
     """
 
     routes: tuple[tuple[int, ...], ...]
@@ -202,7 +201,6 @@ class Schedule:
     periods: tuple[int, ...]
     ids: tuple[str, ...]
     index: dict[str, int] = field(hash=False)  # unhashable, so left out of the hash
-    cycles: tuple[tuple[str, ...], ...]
     alone: tuple[frozenset[str], ...]
 
 
@@ -257,7 +255,6 @@ def _build_schedule(routeset: RouteSet) -> Schedule:
         periods=tuple(map(len, routes)),
         ids=tuple(ids),
         index={cid: c for c, cid in enumerate(ids)},
-        cycles=tuple(c.route.sites for c in routeset.carriers),
         alone=tuple(frozenset((cid,)) for cid in ids),
     )
 

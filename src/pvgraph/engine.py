@@ -30,9 +30,9 @@ class Observation(NamedTuple):
 
 
 class Ride(NamedTuple):
-    """Board or stay on `carrier` for up to `moves` moves; `past` names the
-    carriers whose company the ride passes, and `sites` the count of
-    distinct sites stood on at which it stops, 0 for never (see `Strategy`)."""
+    """Board or stay on `carrier` for up to `moves` moves; `past`, a set,
+    names the carriers whose company the ride passes, and `sites` the count
+    of distinct sites stood on at which it stops, 0 for never (see `Strategy`)."""
 
     carrier: str
     moves: int = 1
@@ -67,9 +67,9 @@ class Strategy(Protocol):
     `past` that holds every carrier the ride's carrier ever meets leaves no
     company to stop at, and `run` checks none. The strategy reads how far it
     got from the next observation's `time`, so it must answer exactly as it
-    would have at each instant skipped. `moves` must be an `int >= 1`,
-    `sites` an `int >= 0`, and the `past` of a ride of more than one move a
-    set or frozenset.
+    would have at each instant skipped. Every ride, of one move or many,
+    keeps one rule: `moves` is an `int >= 1`, `sites` an `int >= 0` and
+    `past` a set or frozenset.
     """
 
     def decide(self, obs: Observation) -> Action: ...
@@ -263,29 +263,30 @@ def run(
     full arrival set of its starting site. A cut-off run comes back as a
     partial trace with `halted` False, never an exception.
 
-    The walk is recorded as one segment per ride on one carrier (see `Walk`):
-    a stop that keeps the carrier extends the open segment. Only with site
-    identities does the run track the sites it has seen, as indices, for
-    `sites_seen` and the stop at a site count: a counting ride finds its
-    stop by reading only the sites ahead it has not seen, and adds only
-    those it reached; any other adds the arc it rode. A carrier is fully
-    seen once its `Schedule.domains` entry is.
+    The walk is recorded as one segment per ride on one carrier, over the
+    carrier's own `route.sites` (see `Walk`): a stop that keeps the carrier
+    extends the open segment. Only with site identities does the run track
+    the sites it has seen, as indices, for `sites_seen` and the stop at a
+    site count: a counting ride caps its moves where it reaches the count
+    among the unseen sites ahead, and every ride adds the arc it rode, at
+    most one lap. A carrier is fully seen once its `Schedule.domains` entry
+    is.
 
-    A ride whose `past` holds all of its carrier's `Schedule.mates` goes
-    straight to its last move; any other checks the listed company phase by
-    phase, jumping the quiet stretches.
+    Every ride, one move or many, stops by one rule. One whose `past` holds
+    all of its carrier's `Schedule.mates` goes straight to its last move;
+    any other checks the listed company phase by phase, jumping the quiet
+    stretches.
     """
     if move_limit is None:
         move_limit = default_move_limit(routeset, strategy)
-    if move_limit <= 0:
-        raise ValueError("move_limit must be positive")
+    if type(move_limit) is not int or move_limit < 1:
+        raise ValueError(f"move_limit must be positive, an int >= 1, not {move_limit!r}")
     routeset.carrier(start_carrier)  # an unknown start is a ParameterViolation
     sched = routeset.schedule
     routes, domains, company, quiet = sched.routes, sched.domains, sched.company, sched.quiet
     mates = sched.mates  # the ids of the carriers each carrier ever meets
-    periods, ids, index, cycles, alone = sched.periods, sched.ids, sched.index, sched.cycles, sched.alone
-    names = routeset.sites
-    expose_sites = routeset.mode == IDS
+    periods, ids, index, alone = sched.periods, sched.ids, sched.index, sched.alone
+    names = routeset.sites if routeset.mode == IDS else None
     # the agent rides carrier c and stands on site index `site`
     c = index[start_carrier]
     t = 0
@@ -293,7 +294,7 @@ def run(
     segments = []  # the closed ride segments; the open one boarded at instant t0 and phase t0_phase
     t0 = t0_phase = 0
     seen = {site}  # the site indices stood on; read only with site identities
-    done = [not expose_sites] * len(ids)  # every site of carrier c's route seen
+    done = [names is None] * len(ids)  # every site of carrier c's route seen
     halted = False
     while True:
         phase = t % periods[c]
@@ -306,11 +307,9 @@ def run(
             arriving = frozenset(present)
         else:
             arriving = alone[c]
-        if expose_sites:
-            obs = Observation(t, ids[c], arriving, names[site], len(seen))
-        else:
-            obs = Observation(t, ids[c], arriving, None)
-        action = strategy.decide(obs)
+        action = strategy.decide(Observation(
+            t, ids[c], arriving, names[site] if names else None, len(seen) if names else None
+        ))
         if not isinstance(action, Ride):  # the common case tested first: a ride
             if isinstance(action, Halt):
                 halted = True
@@ -324,63 +323,49 @@ def run(
         if type(sites) is not int or sites < 0:
             raise IllegalAction(f"ride stopping at {sites!r} sites at t={t}, not an int >= 0")
         d = index[cid]
-        j = 1
-        fresh = None
         if d != c:  # a switch: the ride's first move, on the new carrier in a new segment
             if t > t0:
-                segments.append((ids[c], cycles[c], t0_phase, t - t0))
+                segments.append((ids[c], routeset.carriers[c].route.sites, t0_phase, t - t0))
             c = d
             phase = t0_phase = t % periods[c]
             t0 = t
-        if moves > 1:
-            # riding on alone: stop at the asked moves, the limit, the site count if
-            # asked, or where a carrier not passed stands on the site; quiet phases
-            # are jumped, and a ride that passes every carrier c ever meets checks no
-            # company at all
-            p, route = periods[c], routes[c]
-            most = min(moves, move_limit - t)
-            if sites and not done[c] and sites > len(seen):  # capped before the loop scans laps past it
-                ahead = _arc(route, phase + 1, min(most, p))
-                fresh, reach = {}, 0  # each unseen site ahead -> the moves that first reach it
-                for x in filterfalse(seen.__contains__, ahead):
-                    if x not in fresh:
-                        reach = fresh[x] = ahead.index(x, reach) + 1
-                        if len(fresh) + len(seen) == sites:
-                            most = reach
-                            break
-            try:
-                if past.issuperset(mates[c]):
-                    j = most
-            except AttributeError:
-                raise IllegalAction(f"ride past {past!r} at t={t}, not a set of carrier ids") from None
-            lone, listed = quiet[c], company[c]
-            while j < most:
-                i = (phase + j) % p
-                if lone[i]:
-                    j += lone[i]
-                    continue
-                for e in listed[i]:
-                    if routes[e][(t + j) % periods[e]] == route[i] and ids[e] not in past:
-                        break
-                else:
-                    j += 1
-                    continue
-                break  # a carrier not passed stands on the site
-            j = min(j, most)
+        # stop at the asked moves, the limit, the site count if asked, or where a
+        # carrier not passed stands on the site; quiet phases are jumped, and a
+        # ride that passes every carrier c ever meets checks no company at all
+        p, route = periods[c], routes[c]
+        most = min(moves, move_limit - t)
+        if sites and not done[c] and sites > len(seen):  # capped before the loop scans laps past it
+            ahead = _arc(route, phase + 1, min(most, p))
+            fresh = list(dict.fromkeys(filterfalse(seen.__contains__, ahead)))  # in reach order
+            if len(seen) + len(fresh) >= sites:
+                most = ahead.index(fresh[sites - len(seen) - 1]) + 1
+        try:
+            j = most if past.issuperset(mates[c]) else 1
+        except AttributeError:
+            raise IllegalAction(f"ride past {past!r} at t={t}, not a set of carrier ids") from None
+        lone, listed = quiet[c], company[c]
+        while j < most:
+            i = (phase + j) % p
+            if lone[i]:
+                j += lone[i]
+                continue
+            for e in listed[i]:
+                if routes[e][(t + j) % periods[e]] == route[i] and ids[e] not in past:
+                    break
+            else:
+                j += 1
+                continue
+            break  # a carrier not passed stands on the site
+        j = min(j, most)
         t += j
-        site = routes[c][t % periods[c]]
+        site = route[t % p]
         if not done[c]:
-            if j == 1:
-                seen.add(site)
-            elif fresh is None:
-                seen.update(_arc(routes[c], phase + 1, min(j, periods[c])))
-            else:  # only the unseen sites the counting ride reached
-                seen.update(fresh if reach <= j else [x for x in fresh if fresh[x] <= j])
+            seen.update(_arc(route, phase + 1, min(j, p)))
             done[c] = seen.issuperset(domains[c])
         if t >= move_limit:
             break
     if t > t0:
-        segments.append((ids[c], cycles[c], t0_phase, t - t0))
+        segments.append((ids[c], routeset.carriers[c].route.sites, t0_phase, t - t0))
     return Trace(start_carrier, Walk(segments), halted)
 
 
@@ -451,12 +436,12 @@ def replay_check(routeset: RouteSet, trace: Trace) -> tuple[bool, int | None]:
 CSV_HEADER = "step,time,carrier,from,to,new_site"
 CSV_BLOCK = 1000  # rows laid out and joined at a time; a power of ten
 CSV_HEADS = 10_000  # rows numbered from one cached table; a multiple of CSV_BLOCK
-_CSV_QUOTED = frozenset('",')  # a field holding one of these is quoted (RFC 4180)
+_CSV_QUOTED = frozenset('",\r\n')  # a field holding one of these is quoted (RFC 4180)
 
 
 def _csv_fields(names: tuple[str, ...]) -> tuple[str, ...]:
-    """`names` as CSV fields: one that holds a comma or a quote is wrapped in
-    quotes, each quote inside doubled; any other is as it is."""
+    """`names` as CSV fields: one that holds a comma, a quote or a line break
+    is wrapped in quotes, each quote inside doubled; any other is as it is."""
     if _CSV_QUOTED.isdisjoint("".join(names)):
         return names
     return tuple(s if _CSV_QUOTED.isdisjoint(s) else '"' + s.replace('"', '""') + '"' for s in names)
@@ -482,10 +467,11 @@ def trace_to_csv(trace: Trace) -> str:
     The rows are written from the walk's segments. Each call lays out, for
     each carrier and cycle the walk rides, the row tail `"c3,x1,x2,0\n"` of
     every phase; a segment's rows take the tails of its phases in turn. A
-    name that holds a comma or a quote is quoted there, the RFC 4180 way,
-    so no row pays for it. Only the tails of the first arrivals, which the
-    walk's first-visit pass gives from step 0's departure on, are patched to
-    end `",1\n"`; a walk with no steps writes only the header.
+    name that holds a comma, a quote or a line break is quoted there, the
+    RFC 4180 way, so no row pays for it. Only the tails of the first
+    arrivals, which the walk's first-visit pass gives from step 0's
+    departure on, are patched to end `",1\n"`; a walk with no steps writes
+    only the header.
 
     The rows are laid out `CSV_BLOCK` at a time, as a list of pieces filled
     by slice assignment. Below `CSV_HEADS` a row is two pieces: its step and

@@ -347,10 +347,11 @@ def test_meeting_graph_matches_joint_period_scan(data):
     assert sched.domains == tuple(tuple(dict.fromkeys(r)) for r in sched.routes)
     # each carrier's mates are its meeting-graph neighbours, in carrier order
     assert sched.mates == tuple(tuple(b for b in ids if b in mg[a]) for a in ids)
-    # the per-carrier lookups each run reads, the cycles shared with the routes, not copied
+    # the per-carrier lookups each run reads; a run's segments share each route's own tuple
     assert sched.ids == tuple(ids) and sched.index == {a: c for c, a in enumerate(ids)}
     assert sched.periods == tuple(c.route.period for c in rs.carriers)
-    assert all(x is c.route.sites for x, c in zip(sched.cycles, rs.carriers, strict=True))
+    segments = run(rs, HitchARide(rs.max_period), ids[0]).steps.segments
+    assert segments and all(cycle is rs.carrier(cid).route.sites for cid, cycle, _, _ in segments)
     assert sched.alone == tuple(frozenset((a,)) for a in ids)
     for c, a in enumerate(ids):
         p = rs.carrier(a).route.period

@@ -350,8 +350,10 @@ def test_move_limit_tags_partial_trace():
 
 
 def test_move_limit_must_be_positive():
-    with pytest.raises(ValueError, match="move_limit must be positive"):
-        run(rs_of(["a", "b"]), Scripted([]), "c0", move_limit=0)
+    # an int >= 1: a float or a bool is refused before the first decide
+    for limit in (0, -1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="move_limit must be positive"):
+            run(rs_of(["a", "b"], ["a", "c"]), HitchARide(2), "c0", limit)
 
 
 def test_default_move_limit_formula():
@@ -511,6 +513,19 @@ def test_csv_quotes_names_that_hold_a_comma_or_a_quote():
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == pvgraph.engine.CSV_HEADER.split(",") and len(rows) == tr.moves + 1
     assert all(len(row) == 6 for row in rows)
+    steps = [(s.carrier, s.from_site, s.to_site) for s in tr.steps]
+    assert [tuple(row[2:5]) for row in rows[1:]] == steps
+
+
+def test_csv_quotes_names_that_hold_a_line_break():
+    # csv.writer leaves a bare "\r" unquoted, so the rows are read back, not compared as bytes
+    names = ["a\nb", "c\rd", "e\r\nf"]
+    walk = Walk.of(TimedEdge(i, "c0", *pair) for i, pair in enumerate(
+        [(names[0], "x"), ("x", names[1]), (names[1], names[2]), (names[2], "y")]
+    ))
+    tr = Trace("c0", walk, True)
+    rows = list(csv.reader(io.StringIO(trace_to_csv(tr), newline="")))
+    assert len(rows) == tr.moves + 1 and all(len(row) == 6 for row in rows)
     steps = [(s.carrier, s.from_site, s.to_site) for s in tr.steps]
     assert [tuple(row[2:5]) for row in rows[1:]] == steps
 
@@ -866,8 +881,12 @@ def test_a_lone_ride_past_other_than_a_set_of_ids_is_illegal(past):
     rs = rs_of(["a", "b", "c"], ["a", "x"], mode=ANONYMOUS)
     with pytest.raises(IllegalAction, match="past"):
         run(rs, Scripted([Ride("c0", 5, past)]), "c0", move_limit=10)
+    # a one-move ride is checked too: every ride stops by one rule
+    with pytest.raises(IllegalAction, match="past"):
+        run(rs, Scripted([Ride("c0", 1, past)]), "c0", move_limit=10)
     # a set is as good as a frozenset
     assert run(rs, Scripted([Ride("c0", 5, {"c1"})]), "c0", move_limit=10).moves == 5
+    assert run(rs, Scripted([Ride("c0", 1, {"c1"})]), "c0", move_limit=1).moves == 1
 
 
 class DecideProxy:

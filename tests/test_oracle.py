@@ -255,6 +255,21 @@ def test_audit_searches_each_start_once(search_calls):
     assert report.oracle_optimum == 62 and report.oracle_max_over_starts == 62
 
 
+def test_thm8_13_6_audit_reports_its_bound_defect():
+    # ROADMAP item 1: the attached bound exceeds the optimum from the pinned start
+    report = audit(make_instance("thm8", 13, 6))
+    assert (report.theoretical_lower_bound, report.oracle_optimum, report.oracle_max_over_starts) == (
+        106, 104, 104
+    )
+    assert report.strategy_moves == {"hitch": 381, "guess": 104} and report.violation()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: thm8(13,6) has bound 106 over optimum 104")
+def test_thm8_13_6_bound_is_at_most_its_optimum():
+    report = audit(make_instance("thm8", 13, 6))
+    assert report.theoretical_lower_bound <= report.oracle_optimum
+
+
 def test_audit_searches_a_shared_start_site_once(search_calls):
     # all seven carriers of the hub family start on x0
     report = audit(make_instance("thm7", 15, 7))
