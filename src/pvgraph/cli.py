@@ -222,10 +222,8 @@ def _bench_row(family: str, args: argparse.Namespace, n: int, k: int, p: int | N
         row.append("")
     traces = race(rs, inst.start)
     for name in ("hitch", "guess"):
-        trace = traces.get(name)
-        if trace is None:
-            row.append("")
-        elif trace.halted and trace.covers(rs):
+        trace = traces[name]
+        if trace.halted and trace.covers(rs):
             row.append(str(trace.moves))
         else:
             print(f"bench {family} n={n} k={k} p={p}: {name} failed to cover", file=sys.stderr)

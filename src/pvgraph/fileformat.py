@@ -105,18 +105,11 @@ def loads(text: str) -> RouteSet:
                 raise fail(f"duplicate carrier {cid!r}", ln, 1)
             cids.add(cid)
             carriers.append(Carrier(cid, Route(tuple(toks[3:]))))
-    except ParseError as err:
-        raise unknown_site(err.line) or err from None
-    if not carriers:
-        raise ParseError("no carrier lines", content[-1][0])
-
-    try:
+        if not carriers:
+            raise ParseError("no carrier lines", content[-1][0])
         return RouteSet(tuple(carriers), mode, tuple(sites))
-    except ValueError:  # such as a route site missing from the declared universe
-        err = unknown_site(len(lines) + 1)
-        if err is None:
-            raise
-        raise err from None
+    except (ParseError, ValueError) as err:  # RouteSet's: a route site missing from the universe
+        raise unknown_site(getattr(err, "line", len(lines) + 1)) or err from None
 
 
 def dumps(routeset: RouteSet) -> str:

@@ -2,7 +2,8 @@
 
 Every move rides one carrier from the agent's site, and any carrier at that
 site may be boarded, so (site, t mod L, visited-mask) captures everything the
-future depends on, where L is the lcm of all periods. The agent chooses only
+future depends on, where L is the lcm of the periods of the carriers the agent
+can ever board, the start's meeting-graph component. The agent chooses only
 at a choice instant: one where the carriers on its site go on to two or more
 different sites. Between two such instants it rides one carrier, and the
 search jumps that forced ride in one step. The start is the first choice
@@ -76,14 +77,31 @@ def _search(
     its time mod L. A state laid at t1 = t_a + 1 + j, with j < L moves of
     forced ride, is laid again only at some t1' ≡ t1 (mod L) from a state popped
     at t_b ≥ t_a, so t1' ≥ t_b + 1 > t_a ≥ t1 − L, hence t1' ≥ t1.
+
+    L is the lcm over the start's meeting-graph component only, and the key
+    stays exact: a carrier's `company` rows list only carriers it meets, all
+    in its component, so every ride and boarding reads only routes whose
+    periods divide L. A carrier outside never shares the agent's site, so it
+    changes no choice and ends no ride. Searches from two components share
+    the table safely: carriers on one site at one phase below both lcms stand
+    there together at that instant, so they meet, and no key is laid by both.
     """
     routeset.carrier(start_carrier)  # an unknown start is a ParameterViolation
     sched = routeset.schedule
     routes, company, quiet = sched.routes, sched.company, sched.quiet
     n = routeset.n
-    L = math.lcm(*map(len, routes))
+    index = sched.index
+    c0 = index[start_carrier]
+    reach = {c0}  # the start's meeting-graph component, by a BFS over `mates`
+    todo = [c0]
+    for c in todo:
+        for d in sched.mates[c]:
+            d = index[d]
+            if d not in reach:
+                reach.add(d)
+                todo.append(d)
+    L = math.lcm(*map(sched.periods.__getitem__, reach))
     full = (1 << n) - 1
-    c0 = sched.index[start_carrier]
     x0 = routes[c0][0]
     if 1 << x0 == full:
         return 0

@@ -10,7 +10,9 @@ console entry point, then names every case that failed and exits 1. It imports o
 standard library, so it runs from any directory. Every case builds its own inputs in a
 fresh directory, so any one case runs alone.
 
-To pin a new behaviour, append a `Case` to `CASES`; both drivers pick it up.
+To pin a new behaviour, append a `Case` to `CASES`; both drivers pick it up. Each file the
+reader refuses is a row of `REJECTED_FILES`, which `tests/test_format.py` checks against
+`loads` and which runs here as a `pvg validate` case.
 """
 from __future__ import annotations
 
@@ -58,6 +60,56 @@ class Case:
     err: tuple[str, ...] = ()
     sha256: dict[str, str] = field(default_factory=dict)
 
+
+@dataclass(frozen=True)
+class Rejected:
+    """A file the reader refuses, and its error: the type's name, the 1-based `(line,
+    column)` it names (None: an error with no position) and its message after that."""
+
+    name: str
+    text: str
+    at: tuple[int, int] | None
+    message: str
+    error: str = "ParseError"
+
+    @property
+    def whole(self) -> str:
+        """The error's whole message, as `str(error)` and `pvg` give it."""
+        return self.message if self.at is None else f"line {self.at[0]}, column {self.at[1]}: {self.message}"
+
+
+REJECTED_FILES = [
+    Rejected("parse_error", "pvg 2\n", (1, 1), "expected header 'pvg 1'"),
+    Rejected("truncated_file", "pvg 1\nmode ids\n", (3, 1), "missing sites line"),
+    Rejected("truncated_file_to_nothing", "", (1, 1), "empty file"),
+    Rejected("bad_mode_line", "pvg 1\nmode nope\nsites 1 a\ncarrier c : a\n", (2, 6), "unknown mode 'nope'"),
+    Rejected("sites_count_mismatch", "pvg 1\nmode ids\nsites 3 a b\ncarrier c : a\n", (3, 9),
+             "expected 3 site names, found 2"),
+    Rejected("site_count_below_one", "pvg 1\nmode ids\nsites 0\ncarrier c0 : a\n", (3, 7),
+             "site count must be positive"),
+    Rejected("duplicate_site_rejected", "pvg 1\nmode ids\nsites 2 a a\ncarrier c : a\n", (3, 11),
+             "duplicate site 'a'"),
+    Rejected("missing_carriers_rejected", "pvg 1\nmode ids\nsites 1 a\n", (3, 1), "no carrier lines"),
+    Rejected("carrier_line_needs_colon", "pvg 1\nmode ids\nsites 1 a\ncarrier c a\n", (4, 11),
+             "expected 'carrier <id> : <site>...'"),
+    Rejected("empty_route_rejected", "pvg 1\nmode ids\nsites 1 a\ncarrier c :\n", (4, 11),
+             "expected 'carrier <id> : <site>...'"),
+    Rejected("duplicate_carrier_id", "pvg 1\nmode ids\nsites 2 a b\ncarrier c : a\ncarrier c : b a\n", (5, 9),
+             "duplicate carrier 'c'"),
+    Rejected("route_site_outside_the_universe", "pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : a b ghost\n", (4, 18),
+             "unknown site 'ghost'"),
+    Rejected("unknown_site_in_route_names_its_column", "pvg 1\nmode ids\nsites 2 a b\ncarrier c : a zz\n", (4, 15),
+             "unknown site 'zz'"),
+    # the first error in file order is the one reported; on one line, its shape is judged first
+    Rejected("an_unknown_site_wins_over_a_later_malformed_line",
+             "pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : a ghost\ncarrier c1 : b\ncarrier c2 a\n", (4, 16),
+             "unknown site 'ghost'"),
+    Rejected("a_lines_own_shape_is_judged_before_its_sites",
+             "pvg 1\nmode ids\nsites 1 a\ncarier c0 : ghost\ncarrier c0 : zz\n", (4, 1),
+             "expected 'carrier', found 'carier'"),
+    Rejected("dead_site", "pvg 1\nmode ids\nsites 2 a ghost\ncarrier c0 : a\n", None,
+             "site(s) on no route: ghost", "UnreachableSite"),
+]
 
 CSV_HEADER = ["step", "time", "carrier", "from", "to", "new_site"]
 
@@ -149,18 +201,8 @@ CASES = [
     Case("validate_forged_gprime", "validate --in gprime.pvg",
          inputs={"gprime.pvg": Made("forge --thm 1 --strategy no-new-carrier --n 6 --k 3", field="gprime")},
          subset=report(6, 3, "anonymous", 11, True, False, False)),
-    Case("validate_parse_error_exits_5", "validate --in bad.pvg", inputs={"bad.pvg": "pvg 9\n"},
-         code=5, lines=(), err=("line 1, column 1: expected header 'pvg 1'",)),
-    Case("validate_dead_site_exits_5", "validate --in dead.pvg",
-         inputs={"dead.pvg": "pvg 1\nmode ids\nsites 2 a ghost\ncarrier c0 : a\n"},
-         code=5, lines=(), err=("site(s) on no route: ghost",)),
-    # an error names the line and column of its token
-    Case("validate_route_site_outside_the_universe_exits_5", "validate --in ghost.pvg",
-         inputs={"ghost.pvg": "pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : a b ghost\n"},
-         code=5, lines=(), err=("line 4, column 18: unknown site 'ghost'",)),
-    Case("validate_site_count_below_one_exits_5", "validate --in none.pvg",
-         inputs={"none.pvg": "pvg 1\nmode ids\nsites 0\ncarrier c0 : a\n"},
-         code=5, lines=(), err=("line 3, column 7: site count must be positive",)),
+    *(Case(f"validate_{row.name}_exits_5", "validate --in in.pvg", code=5, inputs={"in.pvg": row.text},
+           lines=(), err=(row.whole,)) for row in REJECTED_FILES),
     Case("missing_input_file_exits_2", "validate --in no/such/file.pvg",
          code=2, lines=(), err=("No such file or directory: 'no/such/file.pvg'",)),
     # explore

@@ -24,7 +24,6 @@ from pvgraph import (
     build_meeting_graph,
     exact_feasible,
     carriers_at,
-    is_concrete_cover,
     is_feasible,
     is_homogeneous,
     is_irredundant,
@@ -32,8 +31,7 @@ from pvgraph import (
     min_moves,
     run,
 )
-from pvgraph.engine import Trace, TimedEdge
-from pvgraph.errors import InconsistentWalk, ParameterViolation, UnreachableSite
+from pvgraph.errors import ParameterViolation, UnreachableSite
 
 from helpers import drawn_systems, rs_of
 
@@ -552,58 +550,6 @@ def test_feasibility_scans_a_hub_in_k_minus_1_pairs(monkeypatch):
     rs = pvgraph.make_instance("thm8", 13, 6).routeset
     feasible, pairs = scanned_pairs(rs, monkeypatch)
     assert feasible and rs.k == 6 and len(pairs) == rs.k - 1 == 5
-
-
-def test_concrete_cover_accepts_a_lawful_walk():
-    rs = rs_of(["a", "b"], ["a", "c"])
-    walk = Trace("c0", (
-        TimedEdge(0, "c1", "a", "c"),   # switch at the t=0 meeting on a
-        TimedEdge(1, "c1", "c", "a"),
-        TimedEdge(2, "c0", "a", "b"),   # back onto c0 at t=2
-    ), True)
-    assert is_concrete_cover(rs, walk)
-
-
-def test_concrete_cover_false_when_sites_remain():
-    rs = rs_of(["a", "b"], ["a", "c"])
-    walk = Trace("c0", (TimedEdge(0, "c0", "a", "b"),), True)
-    assert not is_concrete_cover(rs, walk)
-
-
-def test_concrete_cover_rejects_unactivated_edge():
-    rs = rs_of(["a", "b"], ["a", "c"])
-    walk = Trace("c0", (TimedEdge(0, "c0", "a", "c"),), True)
-    with pytest.raises(InconsistentWalk):
-        is_concrete_cover(rs, walk)
-
-
-def test_concrete_cover_rejects_discontinuous_switch():
-    rs = rs_of(["a", "b"], ["a", "c"])
-    # both steps activated, but the agent ends step 0 on b, not c
-    walk = Trace("c0", (
-        TimedEdge(0, "c0", "a", "b"),
-        TimedEdge(1, "c1", "c", "a"),
-    ), True)
-    with pytest.raises(InconsistentWalk):
-        is_concrete_cover(rs, walk)
-
-
-def test_concrete_cover_rejects_teleport_switch():
-    rs = rs_of(["a", "b"], ["c", "d"])
-    walk = Trace("c0", (
-        TimedEdge(0, "c0", "a", "b"),
-        TimedEdge(1, "c1", "d", "c"),  # carriers never met
-    ), True)
-    with pytest.raises(InconsistentWalk):
-        is_concrete_cover(rs, walk)
-
-
-@pytest.mark.parametrize("start,step_carrier", [("zz", "c0"), ("c0", "zz")])
-def test_concrete_cover_rejects_unknown_carriers(start, step_carrier):
-    rs = rs_of(["a", "b"], ["a", "c"])
-    walk = Trace(start, (TimedEdge(0, step_carrier, "a", "b"),), True)
-    with pytest.raises(InconsistentWalk, match="zz"):
-        is_concrete_cover(rs, walk)
 
 
 def test_anonymous_mode_flag_carried():

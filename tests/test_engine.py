@@ -23,6 +23,7 @@ from pvgraph import (
     GuessingRide,
     HitchARide,
     IllegalAction,
+    InconsistentWalk,
     Observation,
     ParameterViolation,
     Ride,
@@ -133,24 +134,52 @@ def test_switching_carriers_at_a_meeting():
     assert tuple(dict.fromkeys(["a", *tr.steps.tos])) == ("a", "c")
 
 
-def test_boarding_absent_carrier_is_illegal():
-    rs = rs_of(["a", "b"], ["c", "a"])
-    with pytest.raises(IllegalAction):
-        run(rs, Scripted([Ride("c1")]), "c0")  # c1 is on c at t=0
+def refused(name, routes, actions, error, message, *, mode=IDS, start="c0", limit=10):
+    """A `REFUSED_RIDES` row: `run` on `routes` from `start`, as `Scripted(actions)`."""
+    return pytest.param(routes, mode, start, actions, limit, error, message, id=name)
 
 
-def test_boarding_unknown_carrier_is_illegal():
-    rs = rs_of(["a", "b"])
-    with pytest.raises(IllegalAction):
-        run(rs, Scripted([Ride("ghost")]), "c0")
+#: rides `run` refuses, each with its exact error: a scripted action it cannot carry out, a
+#: bad move limit or start, or a ride whose `moves`, `sites` or `past` is not of its type;
+#: a one-move ride is checked as a longer one is
+REFUSED_RIDES = [
+    refused("boarding_absent_carrier_is_illegal", [["a", "b"], ["c", "a"]], [Ride("c1")],  # c1 is on c at t=0
+            IllegalAction, "carrier c1 is not at the agent's site at t=0", limit=None),
+    refused("boarding_unknown_carrier_is_illegal", [["a", "b"]], [Ride("ghost")],
+            IllegalAction, "carrier ghost is not at the agent's site at t=0", limit=None),
+    refused("non_action_return_is_illegal", [["a", "b"]], ["sideways"],
+            IllegalAction, "strategy returned 'sideways'", limit=None),
+    refused("non_action_return_is_illegal-tuple", [["a", "b"]], [("c0",)],  # equal to Ride("c0"), but not a Ride
+            IllegalAction, "strategy returned ('c0',)", limit=None),
+    refused("unknown_start_carrier_is_a_parameter_violation", [["a", "b"]], [],
+            ParameterViolation, "no carrier 'nope'", start="nope", limit=None),
+    # an int >= 1: a float or a bool is refused before the first decide
+    *(refused(f"move_limit_must_be_positive-{limit!r}", [["a", "b"], ["a", "c"]], [Ride("c1")],
+              ValueError, f"move_limit must be positive, an int >= 1, not {limit!r}", limit=limit)
+      for limit in (0, -1, 2.5, True, "3")),
+    *(refused(f"a_ride_of_other_than_a_positive_int_of_moves_is_illegal-{moves!r}", [["a", "b", "c"]],
+              [Ride("c0", moves)], IllegalAction, f"ride of {moves!r} moves at t=0, not an int >= 1", mode=ANONYMOUS)
+      for moves in (0, -1, 2.5, "3", True)),
+    *(refused(f"a_ride_to_other_than_a_count_of_sites_is_illegal-{moves}-{sites!r}", [["a", "b", "c"]],
+              [Ride("c0", moves, frozenset(), sites)],
+              IllegalAction, f"ride stopping at {sites!r} sites at t=0, not an int >= 0")
+      for moves in (5, 1) for sites in (True, False, 1.0, -1, "2", None)),
+    *(refused(f"a_lone_ride_past_other_than_a_set_of_ids_is_illegal-{moves}-{past!r}", [["a", "b", "c"], ["a", "x"]],
+              [Ride("c0", moves, past)], IllegalAction, f"ride past {past!r} at t=0, not a set of carrier ids",
+              mode=ANONYMOUS)
+      for moves in (5, 1) for past in (("c1",), ["c1"], "c1", None)),
+]
 
 
-def test_non_action_return_is_illegal():
-    rs = rs_of(["a", "b"])
-    with pytest.raises(IllegalAction):
-        run(rs, Scripted(["sideways"]), "c0")
-    with pytest.raises(IllegalAction):
-        run(rs, Scripted([("c0",)]), "c0")  # equal to Ride("c0"), but not a Ride
+@pytest.mark.parametrize("routes,mode,start,actions,limit,error,message", REFUSED_RIDES)
+def test_run_refuses(routes, mode, start, actions, limit, error, message):
+    strategy = Scripted(actions)
+    with pytest.raises(error) as ei:
+        run(rs_of(*routes, mode=mode), strategy, start, limit)
+    assert type(ei.value) is error
+    assert str(ei.value) == message
+    # an illegal action is refused at the first decide, a bad argument before it
+    assert len(strategy.seen) == (error is IllegalAction)
 
 
 def _records():
@@ -349,13 +378,6 @@ def test_move_limit_tags_partial_trace():
     assert tr.moves == 5
 
 
-def test_move_limit_must_be_positive():
-    # an int >= 1: a float or a bool is refused before the first decide
-    for limit in (0, -1, 2.5, True, "3"):
-        with pytest.raises(ValueError, match="move_limit must be positive"):
-            run(rs_of(["a", "b"], ["a", "c"]), HitchARide(2), "c0", limit)
-
-
 def test_default_move_limit_formula():
     rs = rs_of(["a", "b", "c"], ["a", "b"])
     assert default_move_limit(rs) == 16 * 2 * 9
@@ -369,18 +391,6 @@ def test_default_move_limit_admits_a_declared_bound():
     tr = run(rs, HitchARide(20), "c0")
     assert tr.halted
     assert 288 < tr.moves <= 1600
-
-
-def test_unknown_start_carrier_is_a_parameter_violation():
-    with pytest.raises(ParameterViolation, match="nope"):
-        run(rs_of(["a", "b"]), Scripted([]), "nope")
-
-
-def test_trace_rejects_misnumbered_steps():
-    with pytest.raises(ValueError):
-        Trace("c0", (TimedEdge(3, "c0", "a", "b"),), True)
-    with pytest.raises(ValueError, match="step 1 timed 0"):
-        Walk.of([TimedEdge(0, "c0", "a", "b"), TimedEdge(0, "c0", "b", "a")])
 
 
 def test_csv_golden():
@@ -603,37 +613,71 @@ def test_summary_record_key_order_and_values():
     }
 
 
-def test_replay_accepts_engine_output():
-    rs = rs_of(["a", "b"], ["a", "c"])
-    tr = run(rs, Scripted([Ride("c1"), Ride("c1"), Ride("c0")]), "c0")
-    assert replay_check(rs, tr) == (True, None)
-
-
-def test_replay_flags_first_bad_step():
-    rs = rs_of(["a", "b"], ["a", "c"])
-    tr = run(rs, Scripted([Ride("c1"), Ride("c1")]), "c0")
-    doctored = Trace(
-        tr.start_carrier,
-        (tr.steps[0], TimedEdge(1, "c0", "c", "a")),  # c0 is on b at t=1
-        tr.halted,
-    )
-    assert replay_check(rs, doctored) == (False, 1)
-
-
-def test_replay_flags_a_tampered_step():
-    inst = make_instance("thm7", 12, 4)
-    rs = inst.routeset
-    trace = run(rs, HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs)), inst.start)
-    steps = list(trace.steps)
+def hitch_with_step_3_sent_elsewhere(rs):
+    """Hitch's walk on `rs` from c0, as a list of steps with step 3 ending on another site."""
+    steps = list(run(rs, HitchARide(rs.max_period, homogeneous_known=is_homogeneous(rs)), "c0").steps)
     wrong = next(site for site in rs.sites if site != steps[3].to_site)
     steps[3] = dataclasses.replace(steps[3], to_site=wrong)
-    assert replay_check(rs, dataclasses.replace(trace, steps=tuple(steps))) == (False, 3)
+    return steps
 
 
-def test_replay_flags_wrong_start_continuity():
-    rs = rs_of(["a", "b"], ["a", "c"])
-    bad = Trace("c0", (TimedEdge(0, "c1", "c", "a"),), True)
-    assert replay_check(rs, bad) == (False, 0)
+AB_AC = rs_of(["a", "b"], ["a", "c"])
+
+#: walks, hand-built as (time, carrier, from, to) steps or made by `steps(rs)`, and what
+#: they are: a lawful walk and whether it covers, the first step the routes do not allow
+#: and why, or a list of steps misnumbered into no walk at all
+WALKS = [
+    pytest.param(AB_AC, "c0", [(0, "c1", "a", "c"), (1, "c1", "c", "a"), (2, "c0", "a", "b")], True,
+                 id="concrete_cover_accepts_a_lawful_walk"),  # a switch at the t=0 meeting on a, back at t=2
+    pytest.param(AB_AC, "c0", lambda rs: run(rs, Scripted([Ride("c1"), Ride("c1"), Ride("c0")]), "c0").steps, True,
+                 id="replay_accepts_engine_output"),
+    pytest.param(AB_AC, "c0", [(0, "c0", "a", "b")], False, id="concrete_cover_false_when_sites_remain"),
+    pytest.param(AB_AC, "c0", [(0, "c0", "a", "c")], (0, "step 0: carrier c0 does not activate (a -> c) at time 0"),
+                 id="concrete_cover_rejects_unactivated_edge"),
+    pytest.param(AB_AC, "c0", [(0, "c0", "a", "b"), (1, "c1", "c", "a")],  # both steps activated, but from b
+                 (1, "step 1 departs c but the agent stands on b"), id="concrete_cover_rejects_discontinuous_switch"),
+    pytest.param(rs_of(["a", "b"], ["c", "d"]), "c0", [(0, "c0", "a", "b"), (1, "c1", "d", "c")],  # never met
+                 (1, "step 1 departs d but the agent stands on b"), id="concrete_cover_rejects_teleport_switch"),
+    pytest.param(AB_AC, "zz", [(0, "c0", "a", "b")], (0, "no start carrier 'zz'"),
+                 id="concrete_cover_rejects_unknown_carriers-zz-c0"),
+    pytest.param(AB_AC, "c0", [(0, "zz", "a", "b")], (0, "step 0 rides unknown carrier 'zz'"),
+                 id="concrete_cover_rejects_unknown_carriers-c0-zz"),
+    pytest.param(AB_AC, "c0", [(0, "c0", "a", "b"), (1, "zz", "b", "a")], (1, "step 1 rides unknown carrier 'zz'"),
+                 id="replay_flags_unknown_carriers"),
+    pytest.param(AB_AC, "c0", lambda rs: [run(rs, Scripted([Ride("c1")]), "c0").steps[0], TimedEdge(1, "c0", "c", "a")],
+                 (1, "step 1: carrier c0 does not activate (c -> a) at time 1"),  # c0 is on b at t=1
+                 id="replay_flags_first_bad_step"),
+    pytest.param(make_instance("thm7", 12, 4).routeset, "c0", hitch_with_step_3_sent_elsewhere,
+                 (3, "step 3: carrier c0 does not activate (x3 -> x0) at time 3"), id="replay_flags_a_tampered_step"),
+    pytest.param(AB_AC, "c0", [(0, "c1", "c", "a")], (0, "step 0 departs c but the agent stands on a"),
+                 id="replay_flags_wrong_start_continuity"),
+    pytest.param(AB_AC, "c0", [(3, "c0", "a", "b")], ValueError("step 0 timed 3"),
+                 id="trace_rejects_misnumbered_steps"),
+    pytest.param(AB_AC, "c0", [(0, "c0", "a", "b"), (0, "c0", "b", "a")], ValueError("step 1 timed 0"),
+                 id="trace_rejects_misnumbered_steps-repeated"),
+]
+
+
+@pytest.mark.parametrize("rs,start,steps,outcome", WALKS)
+def test_walk_checkers_agree(rs, start, steps, outcome):
+    # `replay_check` and `is_concrete_cover` judge a walk by one checker, `_walk_fault`
+    steps = steps(rs) if callable(steps) else [TimedEdge(*step) for step in steps]
+    if isinstance(outcome, ValueError):
+        for build in (Walk.of, lambda steps: Trace(start, steps, True)):
+            with pytest.raises(ValueError) as ei:
+                build(steps)
+            assert str(ei.value) == str(outcome)
+        return
+    trace = Trace(start, steps, True)
+    if isinstance(outcome, bool):
+        assert replay_check(rs, trace) == (True, None)
+        assert is_concrete_cover(rs, trace) is outcome
+        return
+    index, reason = outcome
+    assert replay_check(rs, trace) == (False, index)
+    with pytest.raises(InconsistentWalk) as ei:
+        is_concrete_cover(rs, trace)
+    assert str(ei.value) == reason
 
 
 @settings(max_examples=40, deadline=None)
@@ -645,14 +689,6 @@ def test_hitch_traces_always_replay(seed, n, k):
     tr = run(rs, strat, rs.carriers[0].id)
     assert tr.halted
     assert replay_check(rs, tr) == (True, None)
-
-
-def test_replay_flags_unknown_carriers():
-    rs = rs_of(["a", "b"], ["a", "c"])
-    step = TimedEdge(0, "c0", "a", "b")
-    assert replay_check(rs, Trace("zz", (step,), True)) == (False, 0)
-    unknown = TimedEdge(1, "zz", "b", "a")
-    assert replay_check(rs, Trace("c0", (step, unknown), True)) == (False, 1)
 
 
 def test_trace_covers_the_universe_of_the_routeset():
@@ -859,32 +895,9 @@ def test_a_move_limit_inside_a_skip_cuts_the_same_partial_trace():
     assert tr == run(rs, DecideOnly(RideOn()), "c0", move_limit=7)
 
 
-@pytest.mark.parametrize("moves", [0, -1, 2.5, "3", True])
-def test_a_ride_of_other_than_a_positive_int_of_moves_is_illegal(moves):
-    rs = rs_of(["a", "b", "c"], mode=ANONYMOUS)
-    with pytest.raises(IllegalAction, match="moves"):
-        run(rs, RideOn(moves), "c0", move_limit=10)
-
-
-@pytest.mark.parametrize("sites", [True, False, 1.0, -1, "2", None])
-def test_a_ride_to_other_than_a_count_of_sites_is_illegal(sites):
-    rs = rs_of(["a", "b", "c"])
-    with pytest.raises(IllegalAction, match="sites"):
-        run(rs, Scripted([Ride("c0", 5, frozenset(), sites)]), "c0", move_limit=10)
-    # a one-move ride is checked too
-    with pytest.raises(IllegalAction, match="sites"):
-        run(rs, Scripted([Ride("c0", 1, frozenset(), sites)]), "c0", move_limit=10)
-
-
-@pytest.mark.parametrize("past", [("c1",), ["c1"], "c1", None])
-def test_a_lone_ride_past_other_than_a_set_of_ids_is_illegal(past):
+def test_a_lone_ride_past_may_be_any_set():
+    # a set is as good as a frozenset, on a ride of one move or many
     rs = rs_of(["a", "b", "c"], ["a", "x"], mode=ANONYMOUS)
-    with pytest.raises(IllegalAction, match="past"):
-        run(rs, Scripted([Ride("c0", 5, past)]), "c0", move_limit=10)
-    # a one-move ride is checked too: every ride stops by one rule
-    with pytest.raises(IllegalAction, match="past"):
-        run(rs, Scripted([Ride("c0", 1, past)]), "c0", move_limit=10)
-    # a set is as good as a frozenset
     assert run(rs, Scripted([Ride("c0", 5, {"c1"})]), "c0", move_limit=10).moves == 5
     assert run(rs, Scripted([Ride("c0", 1, {"c1"})]), "c0", move_limit=1).moves == 1
 

@@ -6,9 +6,11 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvgraph import IDS, ParseError, RouteSet, dumps, gen_random_feasible, loads
-from pvgraph.errors import UnreachableSite
+from pvgraph import IDS, ParseError, RouteSet, dumps, errors, gen_random_feasible, loads
+from pvgraph.errors import PVGraphError, UnreachableSite
 from pvgraph.fileformat import read_bound_comment
+
+from cli_cases import REJECTED_FILES
 
 GOLDEN = """pvg 1
 mode ids
@@ -34,89 +36,14 @@ def test_comments_and_blank_lines_ignored():
     assert rs.carrier("z").route.sites == ("b", "a")
 
 
-def test_parse_error_reports_position():
-    with pytest.raises(ParseError) as ei:
-        loads("pvg 2\n")
-    assert ei.value.line == 1 and ei.value.column == 1
-    assert "line 1, column 1" in str(ei.value)
-
-
-def test_bad_mode_line():
-    with pytest.raises(ParseError) as ei:
-        loads("pvg 1\nmode nope\nsites 1 a\ncarrier c : a\n")
-    assert ei.value.line == 2
-
-
-def test_sites_count_mismatch():
-    with pytest.raises(ParseError) as ei:
-        loads("pvg 1\nmode ids\nsites 3 a b\ncarrier c : a\n")
-    assert ei.value.line == 3
-
-
-def test_a_site_count_below_one_names_its_line_and_column():
-    with pytest.raises(ParseError) as ei:
-        loads("pvg 1\nmode ids\nsites 0\ncarrier c0 : a\n")
-    assert str(ei.value) == "line 3, column 7: site count must be positive"
-
-
-def test_unknown_route_site_names_its_line_and_column():
-    with pytest.raises(ParseError) as ei:
-        loads("pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : a b ghost\n")
-    assert str(ei.value) == "line 4, column 18: unknown site 'ghost'"
-    assert (ei.value.line, ei.value.column) == (4, 18)
-
-
-def test_an_unknown_site_wins_over_a_later_malformed_line():
-    text = "pvg 1\nmode ids\nsites 2 a b\ncarrier c0 : a ghost\ncarrier c1 : b\ncarrier c2 a\n"
-    with pytest.raises(ParseError) as ei:
-        loads(text)
-    assert str(ei.value) == "line 4, column 16: unknown site 'ghost'"
-    # on one line, the line's own shape is judged first
-    with pytest.raises(ParseError, match="line 4, column 1: expected 'carrier'"):
-        loads("pvg 1\nmode ids\nsites 1 a\ncarier c0 : ghost\ncarrier c0 : zz\n")
-
-
-def test_duplicate_site_rejected():
-    with pytest.raises(ParseError) as ei:
-        loads("pvg 1\nmode ids\nsites 2 a a\ncarrier c : a\n")
-    assert ei.value.line == 3
-
-
-def test_carrier_line_needs_colon():
-    with pytest.raises(ParseError) as ei:
-        loads("pvg 1\nmode ids\nsites 1 a\ncarrier c a\n")
-    assert ei.value.line == 4
-
-
-def test_unknown_site_in_route_names_its_column():
-    with pytest.raises(ParseError) as ei:
-        loads("pvg 1\nmode ids\nsites 2 a b\ncarrier c : a zz\n")
-    assert ei.value.line == 4
-    assert ei.value.column > 1
-    assert "zz" in str(ei.value)
-
-
-def test_duplicate_carrier_id():
-    with pytest.raises(ParseError) as ei:
-        loads("pvg 1\nmode ids\nsites 2 a b\ncarrier c : a\ncarrier c : b a\n")
-    assert ei.value.line == 5
-
-
-def test_empty_route_rejected():
-    with pytest.raises(ParseError):
-        loads("pvg 1\nmode ids\nsites 1 a\ncarrier c :\n")
-
-
-def test_missing_carriers_rejected():
-    with pytest.raises(ParseError):
-        loads("pvg 1\nmode ids\nsites 1 a\n")
-
-
-def test_truncated_file():
-    with pytest.raises(ParseError):
-        loads("pvg 1\nmode ids\n")
-    with pytest.raises(ParseError):
-        loads("")
+@pytest.mark.parametrize("row", REJECTED_FILES, ids=lambda row: row.name)
+def test_loads_rejects(row):
+    with pytest.raises(PVGraphError) as ei:
+        loads(row.text)
+    err = ei.value
+    assert type(err) is getattr(errors, row.error)
+    assert (err.line, err.column) == row.at if row.at else not hasattr(err, "line")
+    assert str(err) == row.whole
 
 
 def test_read_bound_comment():

@@ -114,8 +114,30 @@ def test_a_ride_that_never_branches_is_refused_at_the_cap():
         min_moves(rs, "c0", state_cap=500)
     assert ei.value.cap == 500
     assert ei.value.size > 500
-    with pytest.raises(StateSpaceTooLarge):
-        min_moves(rs, "c0")
+    # under the default cap the ride is one lap of c0, the start's whole component
+    assert min_moves(rs, "c0") is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_carriers_on_sites_of_their_own_change_no_answer(data):
+    # ROADMAP item 22: carriers that meet none of the start's component are never boarded
+    # and never share the agent's site: their periods, up to about 1,000, change no answer
+    # and no cost of a search from an original start, though they multiply the lcm of all
+    # periods; each such answer is None, since their sites are out of reach
+    rs = data.draw(drawn_systems(5, 3, 6), label="system")
+    periods = data.draw(st.lists(st.integers(2, 1000), min_size=1, max_size=4), label="periods")
+    cap = data.draw(st.integers(0, 400) | st.just(DEFAULT_STATE_CAP), label="cap")
+
+    def extended(periods):  # far carrier i waits on site f{i}.0 and steps to f{i}.1 once a lap
+        far = [(f"far{i}", [f"f{i}.0"] * (p - 1) + [f"f{i}.1"]) for i, p in enumerate(periods)]
+        return RouteSet.from_routes([(c.id, c.route.sites) for c in rs.carriers] + far, rs.mode)
+
+    long, short = extended(periods), extended([2] * len(periods))
+    for c in rs.carriers:
+        assert min_moves(long, c.id) is None
+        assert capped(lambda: min_moves(long, c.id, cap), cap) == capped(lambda: min_moves(short, c.id, cap), cap)
+    assert not exact_feasible(long) and not is_feasible(long)
 
 
 def test_a_zero_cap_refuses_the_start_state():

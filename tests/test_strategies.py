@@ -12,6 +12,7 @@ from pvgraph import (
     is_concrete_cover,
     is_homogeneous,
     make_instance,
+    min_moves,
     run,
 )
 from pvgraph.core import ANONYMOUS
@@ -164,6 +165,24 @@ def test_guess_respects_cost_budget_across_family_corpus():
 #: guess's runs from c0 on `stars(k, B)` (ROADMAP item 15): each halts with a cover,
 #: but over criterion 3's cap of 12kB
 GUESS_ON_STARS = [(22, 2, 545), (17, 3, 623), (15, 4, 727), (32, 4, 3_223)]
+
+
+def test_a_star_is_covered_in_kb_minus_1_moves_at_best():
+    # ROADMAP item 15: each carrier's leaves lie on its route alone, and it passes the hub
+    # once every B moves, so a cover rides a whole lap on every carrier but the last
+    searched = [(4, 2), (6, 3), (8, 4), (10, 5), (12, 2), (16, 3), (5, 5), (14, 4)]
+    for k, B in searched:
+        assert min_moves(stars(k, B), "c0") == k * B - 1, (k, B)
+    # past about k = 20 the default cap refuses stars: these compare with kB − 1 alone.
+    # Hitch halts one move past the optimum, back on the hub
+    for k, B in [*searched, *((k, B) for k, B, _ in GUESS_ON_STARS), (62, 2)]:
+        rs = stars(k, B)
+        tr = run(rs, HitchARide(B, homogeneous_known=True), "c0")
+        assert tr.halted and tr.covers(rs) and tr.moves == k * B, (k, B, tr.moves)
+    for k, B, _ in GUESS_ON_STARS:
+        rs = stars(k, B)
+        tr = run(rs, GuessingRide(rs.n), "c0")
+        assert tr.halted and tr.moves >= k * B - 1, (k, B, tr.moves)
 
 
 @pytest.mark.parametrize("k,B,moves", GUESS_ON_STARS)
