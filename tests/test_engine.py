@@ -626,58 +626,66 @@ AB_AC = rs_of(["a", "b"], ["a", "c"])
 #: walks, hand-built as (time, carrier, from, to) steps or made by `steps(rs)`, and what
 #: they are: a lawful walk and whether it covers, the first step the routes do not allow
 #: and why, or a list of steps misnumbered into no walk at all
-WALKS = [
-    pytest.param(AB_AC, "c0", [(0, "c1", "a", "c"), (1, "c1", "c", "a"), (2, "c0", "a", "b")], True,
-                 id="concrete_cover_accepts_a_lawful_walk"),  # a switch at the t=0 meeting on a, back at t=2
-    pytest.param(AB_AC, "c0", lambda rs: run(rs, Scripted([Ride("c1"), Ride("c1"), Ride("c0")]), "c0").steps, True,
-                 id="replay_accepts_engine_output"),
-    pytest.param(AB_AC, "c0", [(0, "c0", "a", "b")], False, id="concrete_cover_false_when_sites_remain"),
-    pytest.param(AB_AC, "c0", [(0, "c0", "a", "c")], (0, "step 0: carrier c0 does not activate (a -> c) at time 0"),
-                 id="concrete_cover_rejects_unactivated_edge"),
-    pytest.param(AB_AC, "c0", [(0, "c0", "a", "b"), (1, "c1", "c", "a")],  # both steps activated, but from b
-                 (1, "step 1 departs c but the agent stands on b"), id="concrete_cover_rejects_discontinuous_switch"),
-    pytest.param(rs_of(["a", "b"], ["c", "d"]), "c0", [(0, "c0", "a", "b"), (1, "c1", "d", "c")],  # never met
-                 (1, "step 1 departs d but the agent stands on b"), id="concrete_cover_rejects_teleport_switch"),
-    pytest.param(AB_AC, "zz", [(0, "c0", "a", "b")], (0, "no start carrier 'zz'"),
-                 id="concrete_cover_rejects_unknown_carriers-zz-c0"),
-    pytest.param(AB_AC, "c0", [(0, "zz", "a", "b")], (0, "step 0 rides unknown carrier 'zz'"),
-                 id="concrete_cover_rejects_unknown_carriers-c0-zz"),
-    pytest.param(AB_AC, "c0", [(0, "c0", "a", "b"), (1, "zz", "b", "a")], (1, "step 1 rides unknown carrier 'zz'"),
-                 id="replay_flags_unknown_carriers"),
-    pytest.param(AB_AC, "c0", lambda rs: [run(rs, Scripted([Ride("c1")]), "c0").steps[0], TimedEdge(1, "c0", "c", "a")],
-                 (1, "step 1: carrier c0 does not activate (c -> a) at time 1"),  # c0 is on b at t=1
-                 id="replay_flags_first_bad_step"),
-    pytest.param(make_instance("thm7", 12, 4).routeset, "c0", hitch_with_step_3_sent_elsewhere,
-                 (3, "step 3: carrier c0 does not activate (x3 -> x0) at time 3"), id="replay_flags_a_tampered_step"),
-    pytest.param(AB_AC, "c0", [(0, "c1", "c", "a")], (0, "step 0 departs c but the agent stands on a"),
-                 id="replay_flags_wrong_start_continuity"),
-    pytest.param(AB_AC, "c0", [(3, "c0", "a", "b")], ValueError("step 0 timed 3"),
-                 id="trace_rejects_misnumbered_steps"),
-    pytest.param(AB_AC, "c0", [(0, "c0", "a", "b"), (0, "c0", "b", "a")], ValueError("step 1 timed 0"),
-                 id="trace_rejects_misnumbered_steps-repeated"),
-]
+WALKS = {
+    "concrete_cover_accepts_a_lawful_walk":  # a switch at the t=0 meeting on a, back at t=2
+        (AB_AC, "c0", [(0, "c1", "a", "c"), (1, "c1", "c", "a"), (2, "c0", "a", "b")], True),
+    "replay_accepts_engine_output":
+        (AB_AC, "c0", lambda rs: run(rs, Scripted([Ride("c1"), Ride("c1"), Ride("c0")]), "c0").steps, True),
+    "concrete_cover_false_when_sites_remain": (AB_AC, "c0", [(0, "c0", "a", "b")], False),
+    "concrete_cover_rejects_unactivated_edge":
+        (AB_AC, "c0", [(0, "c0", "a", "c")], (0, "step 0: carrier c0 does not activate (a -> c) at time 0")),
+    "concrete_cover_rejects_discontinuous_switch":  # both steps activated, but from b
+        (AB_AC, "c0", [(0, "c0", "a", "b"), (1, "c1", "c", "a")], (1, "step 1 departs c but the agent stands on b")),
+    "concrete_cover_rejects_teleport_switch":  # never met
+        (rs_of(["a", "b"], ["c", "d"]), "c0", [(0, "c0", "a", "b"), (1, "c1", "d", "c")],
+         (1, "step 1 departs d but the agent stands on b")),
+    "concrete_cover_rejects_an_unknown_start_carrier":
+        (AB_AC, "zz", [(0, "c0", "a", "b")], (0, "no start carrier 'zz'")),
+    "concrete_cover_rejects_an_unknown_step_carrier":
+        (AB_AC, "c0", [(0, "zz", "a", "b")], (0, "step 0 rides unknown carrier 'zz'")),
+    "replay_flags_unknown_carriers":
+        (AB_AC, "c0", [(0, "c0", "a", "b"), (1, "zz", "b", "a")], (1, "step 1 rides unknown carrier 'zz'")),
+    "replay_flags_first_bad_step":  # c0 is on b at t=1
+        (AB_AC, "c0", lambda rs: [run(rs, Scripted([Ride("c1")]), "c0").steps[0], TimedEdge(1, "c0", "c", "a")],
+         (1, "step 1: carrier c0 does not activate (c -> a) at time 1")),
+    "replay_flags_a_tampered_step":
+        (make_instance("thm7", 12, 4).routeset, "c0", hitch_with_step_3_sent_elsewhere,
+         (3, "step 3: carrier c0 does not activate (x3 -> x0) at time 3")),
+    "replay_flags_wrong_start_continuity":
+        (AB_AC, "c0", [(0, "c1", "c", "a")], (0, "step 0 departs c but the agent stands on a")),
+    "trace_rejects_misnumbered_steps": (AB_AC, "c0", [(3, "c0", "a", "b")], ValueError("step 0 timed 3")),
+    "trace_rejects_a_repeated_step_time":
+        (AB_AC, "c0", [(0, "c0", "a", "b"), (0, "c0", "b", "a")], ValueError("step 1 timed 0")),
+}
 
 
-@pytest.mark.parametrize("rs,start,steps,outcome", WALKS)
-def test_walk_checkers_agree(rs, start, steps, outcome):
-    # `replay_check` and `is_concrete_cover` judge a walk by one checker, `_walk_fault`
-    steps = steps(rs) if callable(steps) else [TimedEdge(*step) for step in steps]
-    if isinstance(outcome, ValueError):
-        for build in (Walk.of, lambda steps: Trace(start, steps, True)):
-            with pytest.raises(ValueError) as ei:
-                build(steps)
-            assert str(ei.value) == str(outcome)
-        return
-    trace = Trace(start, steps, True)
-    if isinstance(outcome, bool):
-        assert replay_check(rs, trace) == (True, None)
-        assert is_concrete_cover(rs, trace) is outcome
-        return
-    index, reason = outcome
-    assert replay_check(rs, trace) == (False, index)
-    with pytest.raises(InconsistentWalk) as ei:
-        is_concrete_cover(rs, trace)
-    assert str(ei.value) == reason
+def walk_test(name, rs, start, steps, outcome):
+    """A test that `replay_check` and `is_concrete_cover` judge a walk as `outcome` says.
+
+    Both read one checker, `_walk_fault`; a misnumbered walk is refused by `Walk.of` and `Trace`.
+    """
+
+    def test():
+        built = steps(rs) if callable(steps) else [TimedEdge(*step) for step in steps]
+        if isinstance(outcome, ValueError):
+            for build in (Walk.of, lambda steps: Trace(start, steps, True)):
+                with pytest.raises(ValueError) as ei:
+                    build(built)
+                assert str(ei.value) == str(outcome)
+            return
+        trace = Trace(start, built, True)
+        if isinstance(outcome, bool):
+            assert replay_check(rs, trace) == (True, None)
+            assert is_concrete_cover(rs, trace) is outcome
+            return
+        index, reason = outcome
+        assert replay_check(rs, trace) == (False, index)
+        with pytest.raises(InconsistentWalk) as ei:
+            is_concrete_cover(rs, trace)
+        assert str(ei.value) == reason
+
+    test.__name__ = f"test_{name}"
+    return test
 
 
 @settings(max_examples=40, deadline=None)
@@ -1104,3 +1112,10 @@ def test_a_run_made_walk_and_its_hand_built_copy_agree(data):
 def test_a_segment_makes_a_move_from_a_phase_of_its_cycle(segment):
     with pytest.raises(ValueError):
         Walk([segment])
+
+
+# one test a walk, named after it, as `tests/test_cli.py` names its cases: a row that took
+# the place of a hand-written test keeps that test's name; no two share one
+WALK_TESTS = {f"test_{name}": walk_test(name, *row) for name, row in WALKS.items()}
+assert not WALK_TESTS.keys() & globals().keys()
+globals().update(WALK_TESTS)
