@@ -187,10 +187,12 @@ class Schedule:
     listed carriers at the other phases, and stops where one of them
     actually stands on the site.
 
-    The rest are per-carrier lookups every run needs, laid out once here:
-    each carrier's `period`, its id in `ids` and the `index` back from it,
-    and in `alone` the arrival set `{id}` of an instant it has no company.
-    The schedule holds no site names.
+    The rest are per-carrier lookups laid out once here: each carrier's
+    `period`, its id in `ids` and the `index` back from it, in `alone` the
+    arrival set `{id}` of an instant it has no company, and in `lcms` the
+    lcm of the periods of its meeting-graph component, the carriers `mates`
+    links it to. Every run reads the first four, and every exact search its
+    start's `lcms` entry. The schedule holds no site names.
     """
 
     routes: tuple[tuple[int, ...], ...]
@@ -199,6 +201,7 @@ class Schedule:
     quiet: tuple[tuple[int, ...], ...]
     mates: tuple[tuple[str, ...], ...]
     periods: tuple[int, ...]
+    lcms: tuple[int, ...]
     ids: tuple[str, ...]
     index: dict[str, int] = field(hash=False)  # unhashable, so left out of the hash
     alone: tuple[frozenset[str], ...]
@@ -211,11 +214,11 @@ def _build_schedule(routeset: RouteSet) -> Schedule:
     domains = tuple(tuple(dict.fromkeys(r)) for r in routes)
     sets = [set(r) for r in domains]
     classes: dict[tuple[int, int], set[int]] = {}  # (d, g) -> {site·g + phase mod g} of d's route
-    company, mates = [], []
+    company, mates, links = [], [], []
     for c, (r, here) in enumerate(zip(routes, sets)):
         p = len(r)
         rows: list[list[int]] = [[] for _ in r]
-        near = []  # the ids of the carriers listed at some phase, in carrier order
+        near = []  # the carriers listed at some phase, in carrier order
         keyed: dict[int, dict[int, list[int]]] = {}  # g -> {site·g + phase mod g: c's phases}
         for d, (other, there) in enumerate(zip(routes, sets)):  # each phase lists d in order
             if d == c or here.isdisjoint(there):
@@ -230,12 +233,26 @@ def _build_schedule(routeset: RouteSet) -> Schedule:
                 classes[d, g] = {x * g + j % g for j, x in enumerate(other)}
             shared = phases.keys() & classes[d, g]
             if shared:
-                near.append(ids[d])
+                near.append(d)
             for key in shared:
                 for i in phases[key]:
                     rows[i].append(d)
         company.append(tuple(map(tuple, rows)))
-        mates.append(tuple(near))
+        mates.append(tuple([ids[d] for d in near]))
+        links.append(near)
+    lcms = [0] * len(routes)  # 0 until the carrier's component is laid down
+    for c in range(len(routes)):  # each meeting-graph component, grown from its first carrier
+        if lcms[c]:
+            continue
+        part, todo = {c}, [c]
+        for a in todo:
+            for d in links[a]:
+                if d not in part:
+                    part.add(d)
+                    todo.append(d)
+        lcm = math.lcm(*[len(routes[a]) for a in todo])
+        for a in todo:
+            lcms[a] = lcm
     quiet = []
     for row in company:
         p = len(row)
@@ -253,6 +270,7 @@ def _build_schedule(routeset: RouteSet) -> Schedule:
     return Schedule(
         routes, domains, tuple(company), tuple(quiet), tuple(mates),
         periods=tuple(map(len, routes)),
+        lcms=tuple(lcms),
         ids=tuple(ids),
         index={cid: c for c, cid in enumerate(ids)},
         alone=tuple(frozenset((cid,)) for cid in ids),

@@ -98,7 +98,8 @@ def _first_visits(start: str | None, walk: Walk) -> dict[str | None, int]:
     """Each site the walk stands on, in first-visit order, mapped to the instant
     it is first stood on: `start` at 0, and step i's arrival at i + 1 (a
     `start` of None stands for no site). A segment is read for at most one
-    lap of its cycle."""
+    lap of its cycle. The CSV's first-visit flags read the times;
+    `Trace.covers` needs only the keys, and gathers them as a set."""
     first = {start: 0}
     t = 1
     for _, cycle, offset, moves in walk.segments:
@@ -236,11 +237,14 @@ class Trace:
         return len(self.steps)
 
     def covers(self, routeset: RouteSet) -> bool:
-        """Did the walk see every site of `routeset`'s universe? The sites are
-        the start carrier's site at t=0 and the walk's first visits, read a
-        segment at a time; an unknown start carrier is a ParameterViolation."""
-        start = routeset.carrier(self.start_carrier).route.sites[0]
-        return _first_visits(start, self.steps).keys() == set(routeset.sites)
+        """Is the set of sites the walk stands on `routeset`'s universe? The set
+        holds the start carrier's site at t=0 and one lap of each segment, the
+        sites `_first_visits` times, with no times or order; an unknown start
+        carrier is a ParameterViolation."""
+        stood = {routeset.carrier(self.start_carrier).route.sites[0]}
+        for _, cycle, offset, moves in self.steps.segments:
+            stood.update(_arc(cycle, offset + 1, min(moves, len(cycle))))
+        return stood == set(routeset.sites)
 
 
 def default_move_limit(routeset: RouteSet, strategy: Strategy | None = None) -> int:

@@ -78,9 +78,10 @@ def _search(
     forced ride, is laid again only at some t1' ≡ t1 (mod L) from a state popped
     at t_b ≥ t_a, so t1' ≥ t_b + 1 > t_a ≥ t1 − L, hence t1' ≥ t1.
 
-    L is the lcm over the start's meeting-graph component only, and the key
-    stays exact: a carrier's `company` rows list only carriers it meets, all
-    in its component, so every ride and boarding reads only routes whose
+    L is the lcm over the start's meeting-graph component only, read from
+    `Schedule.lcms`, which lays it down once per system; the key stays
+    exact: a carrier's `company` rows list only carriers it meets, all in
+    its component, so every ride and boarding reads only routes whose
     periods divide L. A carrier outside never shares the agent's site, so it
     changes no choice and ends no ride. Searches from two components share
     the table safely: carriers on one site at one phase below both lcms stand
@@ -90,17 +91,8 @@ def _search(
     sched = routeset.schedule
     routes, company, quiet = sched.routes, sched.company, sched.quiet
     n = routeset.n
-    index = sched.index
-    c0 = index[start_carrier]
-    reach = {c0}  # the start's meeting-graph component, by a BFS over `mates`
-    todo = [c0]
-    for c in todo:
-        for d in sched.mates[c]:
-            d = index[d]
-            if d not in reach:
-                reach.add(d)
-                todo.append(d)
-    L = math.lcm(*map(sched.periods.__getitem__, reach))
+    c0 = sched.index[start_carrier]
+    L = sched.lcms[c0]
     full = (1 << n) - 1
     x0 = routes[c0][0]
     if 1 << x0 == full:

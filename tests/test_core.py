@@ -345,6 +345,14 @@ def test_meeting_graph_matches_joint_period_scan(data):
     assert sched.domains == tuple(tuple(dict.fromkeys(r)) for r in sched.routes)
     # each carrier's mates are its meeting-graph neighbours, in carrier order
     assert sched.mates == tuple(tuple(b for b in ids if b in mg[a]) for a in ids)
+    # and its lcms entry the lcm of the periods of its component, by a BFS over the graph
+    for c, a in enumerate(ids):
+        part, todo = {a}, [a]
+        for b in todo:
+            for m in mg[b] - part:
+                part.add(m)
+                todo.append(m)
+        assert sched.lcms[c] == math.lcm(*(rs.carrier(b).route.period for b in part))
     # the per-carrier lookups each run reads; a run's segments share each route's own tuple
     assert sched.ids == tuple(ids) and sched.index == {a: c for c, a in enumerate(ids)}
     assert sched.periods == tuple(c.route.period for c in rs.carriers)
@@ -358,6 +366,14 @@ def test_meeting_graph_matches_joint_period_scan(data):
             tuple(d for d, b in enumerate(ids) if b != a and i in phases[b]) for i in range(p)
         )
     assert_quiet_counts_the_phases_without_company(sched)
+
+
+def test_each_meeting_graph_component_has_its_own_lcm():
+    # drawn systems seldom split into components of different periods: two pairs that
+    # meet, of lcm 6 and 4, and a carrier alone
+    rs = rs_of(["a", "b"], ["a", "c", "d"], ["x", "y", "z", "w"], ["x", "v"], ["e"])
+    assert build_meeting_graph(rs) == {"c0": {"c1"}, "c1": {"c0"}, "c2": {"c3"}, "c3": {"c2"}, "c4": set()}
+    assert rs.schedule.lcms == (6, 6, 4, 4, 1)
 
 
 def assert_quiet_counts_the_phases_without_company(sched) -> None:

@@ -704,6 +704,12 @@ def test_trace_covers_the_universe_of_the_routeset():
     tr = run(rs, Scripted([Ride("c1"), Ride("c1"), Ride("c0")]), "c0")
     assert tr.covers(rs)
     assert not run(rs, Scripted([Ride("c1")]), "c0").covers(rs)
+    # the sites stood on must be the universe: every site of it and one outside is not
+    steps = [TimedEdge(0, "c0", "a", "b"), TimedEdge(1, "c0", "b", "c"), TimedEdge(2, "c0", "c", "x")]
+    assert Trace("c0", Walk.of(steps[:2]), True).covers(rs)
+    assert not Trace("c0", Walk.of(steps), True).covers(rs)
+    # the start's site alone covers a one-site system
+    assert Trace("c0", Walk.of(()), True).covers(rs_of(["a"]))
 
 
 def test_cover_and_the_csv_read_the_walk_alone():

@@ -138,6 +138,14 @@ def test_carriers_on_sites_of_their_own_change_no_answer(data):
         assert min_moves(long, c.id) is None
         assert capped(lambda: min_moves(long, c.id, cap), cap) == capped(lambda: min_moves(short, c.id, cap), cap)
     assert not exact_feasible(long) and not is_feasible(long)
+    # each far carrier is a component of its own, keyed on its own period, and the
+    # original carriers keep their lcms
+    assert long.schedule.lcms == rs.schedule.lcms + tuple(periods)
+    # the searches from every component share one ride table, as audit's do, and each
+    # answers as a search of its own: far carriers None, under the drawn cap
+    fresh = {c.id: capped(lambda: min_moves(long, c.id, cap), cap) for c in long.carriers}
+    assert all(fresh[f"far{i}"] in (None, REFUSED) for i in range(len(periods)))
+    assert capped(lambda: dict(_per_start(long, cap)), cap) == (REFUSED if REFUSED in fresh.values() else fresh)
 
 
 def test_a_zero_cap_refuses_the_start_state():
